@@ -194,6 +194,10 @@ captureTranscript(const Cell &cell, const Identity &id,
                     std::this_thread::yield();
                     continue;
                 }
+                // The job can resolve between advance() and the check
+                // above: the next advance() consumes it.
+                if (server.advance())
+                    continue;
                 throw std::runtime_error("kx matrix: relay deadlock");
             }
         }

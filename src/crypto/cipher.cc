@@ -91,20 +91,37 @@ class CbcCipher final : public Cipher
                 std::memcpy(chain_, out + off, bs);
             }
         } else {
-            for (size_t off = 0; off < len; off += bs) {
-                uint8_t cipher_block[bs];
+            // Decryption has no inter-block dependency: where the block
+            // cipher can, take two blocks per step so their rounds
+            // overlap.
+            for (size_t off = 0; off < len;) {
+                size_t n = bs;
+                if constexpr (hasTwoBlockDecrypt)
+                    n = len - off >= 2 * bs ? 2 * bs : bs;
+                uint8_t cipher_blocks[2 * bs];
                 // Save first: in-place decryption overwrites the input.
-                std::memcpy(cipher_block, in + off, bs);
-                uint8_t buf[bs];
-                block_.decryptBlock(cipher_block, buf);
+                std::memcpy(cipher_blocks, in + off, n);
+                uint8_t buf[2 * bs];
+                if (n == bs)
+                    block_.decryptBlock(cipher_blocks, buf);
+                else if constexpr (hasTwoBlockDecrypt)
+                    block_.decryptTwoBlocks(cipher_blocks, buf);
                 for (size_t i = 0; i < bs; ++i)
                     out[off + i] = buf[i] ^ chain_[i];
-                std::memcpy(chain_, cipher_block, bs);
+                for (size_t i = bs; i < n; ++i)
+                    out[off + i] = buf[i] ^ cipher_blocks[i - bs];
+                std::memcpy(chain_, cipher_blocks + n - bs, bs);
+                off += n;
             }
         }
     }
 
   private:
+    static constexpr bool hasTwoBlockDecrypt =
+        requires(const Block &b, const uint8_t *in, uint8_t *out) {
+            b.decryptTwoBlocks(in, out);
+        };
+
     Block block_;
     CipherAlg alg_;
     bool encrypt_;

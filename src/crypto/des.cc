@@ -14,42 +14,28 @@ namespace
 // standard. Correctness is pinned by the known-answer tests in
 // tests/test_des.cc.
 
-const int ipSpec[64] = {
-    58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4,
-    62, 54, 46, 38, 30, 22, 14, 6, 64, 56, 48, 40, 32, 24, 16, 8,
-    57, 49, 41, 33, 25, 17, 9,  1, 59, 51, 43, 35, 27, 19, 11, 3,
-    61, 53, 45, 37, 29, 21, 13, 5, 63, 55, 47, 39, 31, 23, 15, 7,
-};
-
-const int fpSpec[64] = {
-    40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 63, 31,
-    38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
-    36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
-    34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9,  49, 17, 57, 25,
-};
-
-const int pSpec[32] = {
+constexpr int pSpec[32] = {
     16, 7,  20, 21, 29, 12, 28, 17, 1,  15, 23, 26, 5,  18, 31, 10,
     2,  8,  24, 14, 32, 27, 3,  9,  19, 13, 30, 6,  22, 11, 4,  25,
 };
 
-const int pc1Spec[56] = {
+constexpr int pc1Spec[56] = {
     57, 49, 41, 33, 25, 17, 9,  1,  58, 50, 42, 34, 26, 18,
     10, 2,  59, 51, 43, 35, 27, 19, 11, 3,  60, 52, 44, 36,
     63, 55, 47, 39, 31, 23, 15, 7,  62, 54, 46, 38, 30, 22,
     14, 6,  61, 53, 45, 37, 29, 21, 13, 5,  28, 20, 12, 4,
 };
 
-const int pc2Spec[48] = {
+constexpr int pc2Spec[48] = {
     14, 17, 11, 24, 1,  5,  3,  28, 15, 6,  21, 10,
     23, 19, 12, 4,  26, 8,  16, 7,  27, 20, 13, 2,
     41, 52, 31, 37, 47, 55, 30, 40, 51, 45, 33, 48,
     44, 49, 39, 56, 34, 53, 46, 42, 50, 36, 29, 32,
 };
 
-const int shiftSpec[16] = {1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1};
+constexpr int shiftSpec[16] = {1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1};
 
-const uint8_t sboxSpec[8][64] = {
+constexpr uint8_t sboxSpec[8][64] = {
     {14, 4,  13, 1, 2,  15, 11, 8,  3,  10, 6,  12, 5,  9,  0, 7,
      0,  15, 7,  4, 14, 2,  13, 1,  10, 6,  12, 11, 9,  5,  3, 8,
      4,  1,  14, 8, 13, 6,  2,  11, 15, 12, 9,  7,  3,  10, 5, 0,
@@ -84,14 +70,15 @@ const uint8_t sboxSpec[8][64] = {
      2,  1,  14, 7, 4,  10, 8,  13, 15, 12, 9,  0,  3,  5,  6,  11},
 };
 
-/** Build the SP boxes and the byte-indexed IP/FP tables. */
-DesTables
+/** Build the SP boxes and the byte-indexed key permutations. */
+constexpr DesTables
 buildDesTables()
 {
     DesTables t{};
 
     // SP boxes: S-box output pushed through the P permutation into
-    // its 4-bit field of the 32-bit f output.
+    // its 4-bit field of the 32-bit f output, then rotated into the
+    // kernel's frame (halves kept rotated right by one bit).
     for (int box = 0; box < 8; ++box) {
         for (int v = 0; v < 64; ++v) {
             // DES S-box input ordering: bits 1 and 6 select the row,
@@ -108,7 +95,7 @@ buildDesTables()
                 if ((pre_p >> (32 - pSpec[bit])) & 1)
                     f |= 1u << (31 - bit);
             }
-            t.sp[box][v] = f;
+            t.sp[box][v] = rotr32(f, 1);
         }
     }
 
@@ -133,33 +120,31 @@ buildDesTables()
             }
         }
     };
-    build_perm(ipSpec, 64, 8, t.ip);
-    build_perm(fpSpec, 64, 8, t.fp);
     build_perm(pc1Spec, 56, 8, t.pc1);
     build_perm(pc2Spec, 48, 7, t.pc2);
 
     return t;
 }
 
+constexpr DesTables tables = buildDesTables();
+
 } // anonymous namespace
 
 const DesTables &
 desTables()
 {
-    static const DesTables tables = buildDesTables();
     return tables;
 }
 
 void
 desSetKey(const uint8_t key[8], DesKeySchedule &out, bool decrypt)
 {
-    const DesTables &t = desTables();
     uint64_t k = load64be(key);
 
     // PC-1: 64 -> 56 bits, split into 28-bit halves C and D.
     uint64_t cd = 0;
     for (int b = 0; b < 8; ++b)
-        cd |= t.pc1[b][(k >> (56 - 8 * b)) & 0xff];
+        cd |= tables.pc1[b][(k >> (56 - 8 * b)) & 0xff];
     uint32_t c = static_cast<uint32_t>(cd >> 28);
     uint32_t d = static_cast<uint32_t>(cd & 0x0fffffff);
 
@@ -167,24 +152,79 @@ desSetKey(const uint8_t key[8], DesKeySchedule &out, bool decrypt)
         c = rotl28(c, shiftSpec[round]);
         d = rotl28(d, shiftSpec[round]);
         uint64_t merged = (static_cast<uint64_t>(c) << 28) | d;
-        // PC-2: 56 -> 48 bits, aligned with the E-expansion output.
+        // PC-2: 56 -> 48 bits as eight 6-bit groups, group 0 on top.
         uint64_t rk = 0;
         for (int b = 0; b < 7; ++b)
-            rk |= t.pc2[b][(merged >> (48 - 8 * b)) & 0xff];
-        out.ks[decrypt ? 15 - round : round] = rk;
+            rk |= tables.pc2[b][(merged >> (48 - 8 * b)) & 0xff];
+        // Split into the rounds' two words: even groups to word 0,
+        // odd groups to word 1, each at bit offsets 26/18/10/2.
+        uint32_t *words = out.ks[decrypt ? 15 - round : round];
+        words[0] = words[1] = 0;
+        for (int g = 0; g < 8; ++g) {
+            uint32_t bits = static_cast<uint32_t>(rk >> (42 - 6 * g)) & 0x3f;
+            words[g & 1] |= bits << (26 - 8 * (g / 2));
+        }
     }
 }
 
 namespace
 {
-perf::NullMeter nullMeter;
-
 void
 requireKeySize(const Bytes &key, size_t expected, const char *what)
 {
     if (key.size() != expected)
         throw std::invalid_argument(std::string(what) +
                                     ": bad key length");
+}
+
+/** IP of N consecutive blocks, halves moved into the round frame. */
+template <size_t N>
+void
+loadBlocks(const uint8_t *in, uint32_t (&l)[N], uint32_t (&r)[N])
+{
+    for (size_t j = 0; j < N; ++j) {
+        desdetail::initialPerm(load64be(in + 8 * j), l[j], r[j]);
+        l[j] = rotr32(l[j], 1);
+        r[j] = rotr32(r[j], 1);
+    }
+}
+
+/** FP of N blocks whose pre-output halves are @p hi / @p lo. */
+template <size_t N>
+void
+storeBlocks(uint8_t *out, const uint32_t (&hi)[N], const uint32_t (&lo)[N])
+{
+    for (size_t j = 0; j < N; ++j)
+        store64be(out + 8 * j, desdetail::finalPerm(rotl32(hi[j], 1),
+                                                    rotl32(lo[j], 1)));
+}
+
+/** Single DES: IP, 16 rounds, FP. */
+void
+des1(const uint8_t *in, uint8_t *out, const DesKeySchedule &k)
+{
+    uint32_t l[1], r[1];
+    loadBlocks(in, l, r);
+    desdetail::rounds(l, r, k, tables.sp);
+    storeBlocks(out, r, l);
+}
+
+/**
+ * EDE3 over N blocks: one IP, three 16-round sets, one FP. Each DES
+ * pass ends on L16/R16 unswapped, so the next pass simply takes the
+ * halves in the opposite roles.
+ */
+template <size_t N>
+void
+ede3(const uint8_t *in, uint8_t *out, const DesKeySchedule &a,
+     const DesKeySchedule &b, const DesKeySchedule &c)
+{
+    uint32_t l[N], r[N];
+    loadBlocks(in, l, r);
+    desdetail::rounds(l, r, a, tables.sp);
+    desdetail::rounds(r, l, b, tables.sp);
+    desdetail::rounds(l, r, c, tables.sp);
+    storeBlocks(out, r, l);
 }
 
 } // anonymous namespace
@@ -199,15 +239,13 @@ Des::Des(const Bytes &key)
 void
 Des::encryptBlock(const uint8_t in[8], uint8_t out[8]) const
 {
-    uint64_t b = desProcessBlockT(load64be(in), enc_, nullMeter);
-    store64be(out, b);
+    des1(in, out, enc_);
 }
 
 void
 Des::decryptBlock(const uint8_t in[8], uint8_t out[8]) const
 {
-    uint64_t b = desProcessBlockT(load64be(in), dec_, nullMeter);
-    store64be(out, b);
+    des1(in, out, dec_);
 }
 
 TripleDes::TripleDes(const Bytes &key)
@@ -224,21 +262,19 @@ TripleDes::TripleDes(const Bytes &key)
 void
 TripleDes::encryptBlock(const uint8_t in[8], uint8_t out[8]) const
 {
-    uint64_t b = load64be(in);
-    b = desProcessBlockT(b, encK1_, nullMeter);
-    b = desProcessBlockT(b, decK2_, nullMeter);
-    b = desProcessBlockT(b, encK3_, nullMeter);
-    store64be(out, b);
+    ede3<1>(in, out, encK1_, decK2_, encK3_);
 }
 
 void
 TripleDes::decryptBlock(const uint8_t in[8], uint8_t out[8]) const
 {
-    uint64_t b = load64be(in);
-    b = desProcessBlockT(b, decK3_, nullMeter);
-    b = desProcessBlockT(b, encK2_, nullMeter);
-    b = desProcessBlockT(b, decK1_, nullMeter);
-    store64be(out, b);
+    ede3<1>(in, out, decK3_, encK2_, decK1_);
+}
+
+void
+TripleDes::decryptTwoBlocks(const uint8_t in[16], uint8_t out[16]) const
+{
+    ede3<2>(in, out, decK3_, encK2_, decK1_);
 }
 
 } // namespace ssla::crypto

@@ -32,7 +32,10 @@ class Des
     DesKeySchedule dec_;
 };
 
-/** Triple DES in EDE3 form: E(k3, D(k2, E(k1, block))). */
+/**
+ * Triple DES in EDE3 form: E(k3, D(k2, E(k1, block))), computed as one
+ * IP, 48 rounds and one FP.
+ */
 class TripleDes
 {
   public:
@@ -43,6 +46,8 @@ class TripleDes
 
     void encryptBlock(const uint8_t in[8], uint8_t out[8]) const;
     void decryptBlock(const uint8_t in[8], uint8_t out[8]) const;
+    /** Decrypt two independent blocks with their rounds interleaved. */
+    void decryptTwoBlocks(const uint8_t in[16], uint8_t out[16]) const;
 
   private:
     // Encrypt path: E(k1), D(k2), E(k3); decrypt path is the reverse.

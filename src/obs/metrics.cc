@@ -364,6 +364,13 @@ MetricsRegistry::snapshot() const
                     cells->buckets[b].load(std::memory_order_relaxed);
             merged.merge(part);
         }
+        // Keep buckets only up to the last non-empty one: percentile()
+        // and merge() accept short vectors, and callers that keep a
+        // snapshot per run would otherwise pin all 1920 buckets each.
+        auto &b = merged.buckets;
+        while (!b.empty() && b.back() == 0)
+            b.pop_back();
+        b.shrink_to_fit();
         out.histograms[histNames_[id]] = std::move(merged);
     }
     return out;

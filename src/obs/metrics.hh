@@ -77,7 +77,9 @@ struct HistogramSnapshot
     uint64_t sum = 0;
     uint64_t min = 0;
     uint64_t max = 0;
-    std::vector<uint64_t> buckets; ///< empty when count == 0
+    /** Per-bucket counts; a registry snapshot ends at the last
+     *  non-empty bucket (empty when count == 0). */
+    std::vector<uint64_t> buckets;
 
     double
     mean() const

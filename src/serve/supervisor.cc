@@ -10,6 +10,21 @@
 namespace ssla::serve
 {
 
+namespace
+{
+
+/**
+ * Cycles from @p stamp to @p now. A thread may stamp after the poll
+ * read its clock, so a stamp ahead of @p now is fresh, not ~2^64 old.
+ */
+uint64_t
+ageCycles(uint64_t now, uint64_t stamp)
+{
+    return now > stamp ? now - stamp : 0;
+}
+
+} // anonymous namespace
+
 Supervisor::Supervisor(CryptoPool &pool, SupervisorConfig cfg)
     : pool_(pool), cfg_(cfg)
 {
@@ -66,7 +81,7 @@ Supervisor::poll(obs::SessionTrace &trace)
             continue;
         const uint64_t stamp =
             std::max(view.heartbeatCycles, view.jobStartCycles);
-        if (now - stamp <= cfg_.stallThresholdCycles)
+        if (ageCycles(now, stamp) <= cfg_.stallThresholdCycles)
             continue;
         if (restarts_.load(std::memory_order_relaxed) >=
             cfg_.maxRestarts) {
@@ -95,7 +110,8 @@ Supervisor::poll(obs::SessionTrace &trace)
         for (ExternalWatch &w : watches_) {
             const uint64_t hb =
                 w.heartbeat.load(std::memory_order_relaxed);
-            const bool stale = now - hb > cfg_.stallThresholdCycles;
+            const bool stale =
+                ageCycles(now, hb) > cfg_.stallThresholdCycles;
             if (stale && !w.stalledNow) {
                 w.stalledNow = true;
                 externalStalls_.fetch_add(1, std::memory_order_relaxed);

@@ -338,6 +338,10 @@ runLockstep(SslEndpoint &a, SslEndpoint &b)
                 std::this_thread::yield();
                 continue;
             }
+            // The job can resolve between advance() and the check
+            // above: the next advance() consumes it.
+            if (a.advance() | b.advance())
+                continue;
             throw std::runtime_error(
                 "runLockstep: handshake deadlocked");
         }

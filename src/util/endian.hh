@@ -79,21 +79,21 @@ store64le(uint8_t *p, uint64_t v)
 }
 
 /** Rotate the 32-bit value @p v left by @p n bits (0 < n < 32). */
-inline uint32_t
+constexpr uint32_t
 rotl32(uint32_t v, unsigned n)
 {
     return (v << n) | (v >> (32 - n));
 }
 
 /** Rotate the 32-bit value @p v right by @p n bits (0 < n < 32). */
-inline uint32_t
+constexpr uint32_t
 rotr32(uint32_t v, unsigned n)
 {
     return (v >> n) | (v << (32 - n));
 }
 
 /** Rotate the 28-bit value @p v left by @p n bits (DES key schedule). */
-inline uint32_t
+constexpr uint32_t
 rotl28(uint32_t v, unsigned n)
 {
     return ((v << n) | (v >> (28 - n))) & 0x0fffffffu;

@@ -6,7 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <optional>
+#include <string>
+
 #include "crypto/cipher.hh"
+#include "crypto/des.hh"
 #include "crypto/provider.hh"
 #include "util/hex.hh"
 #include "util/rng.hh"
@@ -160,6 +170,139 @@ TEST(Cipher, CbcEncryptInPlace)
     Bytes buf = pt;
     enc->process(buf.data(), buf.data(), buf.size());
     EXPECT_EQ(buf, expect);
+}
+
+// ---------------------------------------------------------------------
+// DES-family CBC: records arrive as successive process() calls, and
+// decryption takes two blocks per step with a one-block tail.
+
+/** 3DES-CBC decryption from single-block calls only (the reference). */
+Bytes
+cbcDecryptReference(const Bytes &key, const Bytes &iv, const Bytes &ct)
+{
+    crypto::TripleDes block(key);
+    Bytes out(ct.size());
+    Bytes chain = iv;
+    for (size_t off = 0; off < ct.size(); off += 8) {
+        uint8_t buf[8];
+        block.decryptBlock(ct.data() + off, buf);
+        for (size_t i = 0; i < 8; ++i)
+            out[off + i] = buf[i] ^ chain[i];
+        chain.assign(ct.begin() + off, ct.begin() + off + 8);
+    }
+    return out;
+}
+
+TEST(DesCbc, ChainContinuesAcrossProcessCalls)
+{
+    // One cipher fed pieces of odd and even block counts must equal
+    // one whole call, in both directions: a decrypt piece ending on
+    // the single-block tail hands the next call its chain block.
+    Xoshiro256 rng(21);
+    for (CipherAlg alg : {CipherAlg::DesCbc, CipherAlg::Des3Cbc}) {
+        const auto &info = crypto::cipherInfo(alg);
+        Bytes key = rng.bytes(info.keyLen);
+        Bytes iv = rng.bytes(info.ivLen);
+        Bytes pt = rng.bytes(8 * 64);
+        for (bool encrypt : {true, false}) {
+            Bytes expect = crypto::Cipher::create(alg, key, iv, encrypt)
+                               ->process(pt);
+            auto c = crypto::Cipher::create(alg, key, iv, encrypt);
+            Bytes got(pt.size());
+            size_t off = 0;
+            for (size_t blocks : {1u, 3u, 2u, 5u, 1u, 1u, 7u, 44u}) {
+                c->process(pt.data() + off, got.data() + off, 8 * blocks);
+                off += 8 * blocks;
+            }
+            ASSERT_EQ(off, pt.size());
+            EXPECT_EQ(got, expect)
+                << info.name << (encrypt ? " encrypt" : " decrypt");
+        }
+    }
+}
+
+TEST(DesCbc, DecryptInPlaceOddBlockCounts)
+{
+    // Odd counts leave a single-block tail after the two-block steps.
+    Xoshiro256 rng(22);
+    Bytes key = rng.bytes(24);
+    Bytes iv = rng.bytes(8);
+    for (size_t blocks : {1u, 2u, 3u, 2047u}) {
+        Bytes ct = rng.bytes(8 * blocks);
+        Bytes buf = ct;
+        crypto::Cipher::create(CipherAlg::Des3Cbc, key, iv, false)
+            ->process(buf.data(), buf.data(), buf.size());
+        EXPECT_EQ(buf, cbcDecryptReference(key, iv, ct))
+            << "blocks=" << blocks;
+    }
+}
+
+/** Whether the OpenSSL command-line tool is on PATH. */
+bool
+haveOpensslCli()
+{
+    return std::system("command -v openssl >/dev/null 2>&1") == 0;
+}
+
+/** Run `openssl enc -des-ede3-cbc -nopad` over @p in; nullopt on failure. */
+std::optional<Bytes>
+opensslDes3Cbc(const Bytes &key, const Bytes &iv, const Bytes &in,
+               bool decrypt)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::temp_directory_path() /
+                         ("ssla_des3_oracle_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    const fs::path src = dir / "in.bin";
+    const fs::path dst = dir / "out.bin";
+    {
+        std::ofstream f(src, std::ios::binary);
+        f.write(reinterpret_cast<const char *>(in.data()),
+                static_cast<std::streamsize>(in.size()));
+    }
+    const std::string cmd = std::string("openssl enc -des-ede3-cbc") +
+                            (decrypt ? " -d" : "") + " -nopad -K " +
+                            hexEncode(key) + " -iv " + hexEncode(iv) +
+                            " -in '" + src.string() + "' -out '" +
+                            dst.string() + "' 2>/dev/null";
+    std::optional<Bytes> out;
+    if (std::system(cmd.c_str()) == 0) {
+        std::ifstream f(dst, std::ios::binary);
+        out = Bytes(std::istreambuf_iterator<char>(f),
+                    std::istreambuf_iterator<char>());
+    }
+    fs::remove_all(dir);
+    return out;
+}
+
+TEST(DesCbc, MatchesOpensslCli)
+{
+    // External oracle: our 3DES-CBC must agree with the OpenSSL CLI
+    // byte for byte, both directions, including a record split across
+    // two process() calls.
+    if (!haveOpensslCli())
+        GTEST_SKIP() << "openssl not on PATH";
+    Xoshiro256 rng(23);
+    for (size_t blocks : {1u, 2u, 3u, 2047u}) {
+        Bytes key = rng.bytes(24);
+        Bytes iv = rng.bytes(8);
+        Bytes data = rng.bytes(8 * blocks);
+        for (bool encrypt : {true, false}) {
+            std::optional<Bytes> oracle =
+                opensslDes3Cbc(key, iv, data, !encrypt);
+            ASSERT_TRUE(oracle) << "openssl enc failed";
+            auto c = crypto::Cipher::create(CipherAlg::Des3Cbc, key, iv,
+                                            encrypt);
+            Bytes got(data.size());
+            size_t first = 8 * (blocks / 2);
+            c->process(data.data(), got.data(), first);
+            c->process(data.data() + first, got.data() + first,
+                       data.size() - first);
+            EXPECT_EQ(got, *oracle)
+                << (encrypt ? "encrypt" : "decrypt") << " blocks="
+                << blocks;
+        }
+    }
 }
 
 TEST(Cipher, NullCipherIsIdentity)

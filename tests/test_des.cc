@@ -182,6 +182,42 @@ TEST(Des, IpFpAreInverses)
     }
 }
 
+TEST(Des, IpMatchesFipsTable)
+{
+    // The PERM_OP delta swaps must realise FIPS 46-3's IP bit for bit
+    // (table bit numbers are 1-based from the MSB).
+    static const int ipSpec[64] = {
+        58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4,
+        62, 54, 46, 38, 30, 22, 14, 6, 64, 56, 48, 40, 32, 24, 16, 8,
+        57, 49, 41, 33, 25, 17, 9,  1, 59, 51, 43, 35, 27, 19, 11, 3,
+        61, 53, 45, 37, 29, 21, 13, 5, 63, 55, 47, 39, 31, 23, 15, 7,
+    };
+    Xoshiro256 rng(12);
+    perf::NullMeter m;
+    for (int i = 0; i < 100; ++i) {
+        uint64_t block = rng.next();
+        uint64_t expect = 0;
+        for (int bit = 0; bit < 64; ++bit)
+            if ((block >> (64 - ipSpec[bit])) & 1)
+                expect |= uint64_t(1) << (63 - bit);
+        EXPECT_EQ(crypto::desInitialPerm(block, m), expect);
+    }
+}
+
+TEST(TripleDes, TwoBlockDecryptMatchesSingleBlocks)
+{
+    Xoshiro256 rng(13);
+    for (int i = 0; i < 50; ++i) {
+        TripleDes tdes(rng.bytes(24));
+        Bytes ct = rng.bytes(16);
+        uint8_t two[16], one[16];
+        tdes.decryptTwoBlocks(ct.data(), two);
+        tdes.decryptBlock(ct.data(), one);
+        tdes.decryptBlock(ct.data() + 8, one + 8);
+        EXPECT_EQ(hexEncode(two, 16), hexEncode(one, 16));
+    }
+}
+
 TEST(Des, MeteredKernelMatchesPlain)
 {
     Xoshiro256 rng(11);

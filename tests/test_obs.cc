@@ -153,6 +153,50 @@ TEST(ObsHistogram, MergeEquivalence)
     EXPECT_EQ(merged.buckets, all.buckets);
 }
 
+TEST(ObsHistogram, SnapshotEndsAtLastNonEmptyBucket)
+{
+    MetricsRegistry reg;
+    obs::Histogram h = reg.histogram("h");
+    obs::Histogram other = reg.histogram("other");
+    Xoshiro256 rng(0x7e1);
+    for (int n = 0; n < 3000; ++n) {
+        h.record(rng.next() % 50000);
+        other.record(1000 + rng.next() % 4000000);
+    }
+    obs::MetricsSnapshot snap = reg.snapshot();
+    HistogramSnapshot trimmed = snap.histogram("h");
+    ASSERT_FALSE(trimmed.buckets.empty());
+    EXPECT_EQ(trimmed.buckets.size(),
+              HistogramLayout::bucketIndex(trimmed.max) + 1);
+    EXPECT_NE(trimmed.buckets.back(), 0u);
+    EXPECT_LT(trimmed.buckets.size(), HistogramLayout::bucketCount);
+    EXPECT_TRUE(snap.histogram("never").buckets.empty());
+
+    // The dense form the snapshot used to carry reads the same.
+    HistogramSnapshot dense = trimmed;
+    dense.buckets.resize(HistogramLayout::bucketCount, 0);
+    for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+        EXPECT_EQ(trimmed.percentile(p), dense.percentile(p)) << "p" << p;
+
+    // Merges agree whichever side is short.
+    HistogramSnapshot wide = snap.histogram("other");
+    HistogramSnapshot a = trimmed;
+    a.merge(wide);
+    HistogramSnapshot b = wide;
+    b.merge(dense);
+    while (b.buckets.size() > a.buckets.size()) {
+        EXPECT_EQ(b.buckets.back(), 0u);
+        b.buckets.pop_back();
+    }
+    EXPECT_EQ(a.buckets, b.buckets);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.sum, b.sum);
+    EXPECT_EQ(a.min, b.min);
+    EXPECT_EQ(a.max, b.max);
+    for (double p : {1.0, 50.0, 99.0})
+        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+}
+
 TEST(ObsHistogram, ConcurrentHammer)
 {
     MetricsRegistry reg;

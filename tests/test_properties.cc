@@ -232,8 +232,12 @@ TEST(DesProperties, DecryptScheduleIsReversedEncrypt)
     crypto::DesKeySchedule enc, dec;
     crypto::desSetKey(key.data(), enc, false);
     crypto::desSetKey(key.data(), dec, true);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(enc.ks[i], dec.ks[15 - i]);
+    // Each round key is two words (even and odd S-box groups); both
+    // must appear in reverse round order.
+    for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(enc.ks[i][0], dec.ks[15 - i][0]) << "round " << i;
+        EXPECT_EQ(enc.ks[i][1], dec.ks[15 - i][1]) << "round " << i;
+    }
 }
 
 TEST(HashProperties, AvalancheOnRandomInputs)

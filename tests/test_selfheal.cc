@@ -15,6 +15,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -50,6 +51,40 @@ msCycles(double ms)
 }
 
 /**
+ * Yield until @p done() holds. Gives up after 10 s with a test failure
+ * naming @p what, so a lost wakeup fails the test instead of hanging
+ * it.
+ */
+template <class Pred>
+void
+waitFor(Pred done, const char *what)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!done()) {
+        if (std::chrono::steady_clock::now() >= deadline) {
+            ADD_FAILURE() << "timed out waiting for " << what;
+            return;
+        }
+        std::this_thread::yield();
+    }
+}
+
+/**
+ * Submit @p fn under the caller's job class with a budget no queue
+ * wait can exceed. A test's own scaffolding job must not be
+ * deadline-shed by the pool's short budget on a loaded host.
+ */
+crypto::RsaJob
+submitUnbounded(serve::CryptoPool &cp, std::function<Bytes()> fn)
+{
+    serve::JobBinding binding = serve::currentJobBinding();
+    binding.deadlineBudgetCycles = UINT64_MAX / 2;
+    serve::JobBindingScope scope(binding);
+    return cp.submitRaw(std::move(fn));
+}
+
+/**
  * Occupies a pool thread with a job that blocks until release(), so
  * jobs queued behind it age deterministically.
  */
@@ -58,15 +93,15 @@ class PoolGate
   public:
     explicit PoolGate(serve::CryptoPool &cp)
     {
-        job_ = cp.submitRaw([this] {
+        job_ = submitUnbounded(cp, [this] {
             std::unique_lock<std::mutex> lock(m_);
             cv_.wait(lock, [this] { return released_; });
             return Bytes();
         });
         // Wait for a worker to pick the gate up, so the queue slots
         // (and queue-bound checks) behind it are deterministic.
-        while (cp.queueDepth() != 0)
-            std::this_thread::yield();
+        waitFor([&] { return cp.queueDepth() == 0; },
+                "a pool thread to take the gate");
     }
 
     void
@@ -305,11 +340,7 @@ TEST(Supervisor, ReapsDeadThreadFailsJobAndRespawns)
     EXPECT_THROW(doomed.wait(), crypto::ProviderFailureError);
     // The reap resolves the job before the supervisor's own counter
     // ticks; wait for the poll to finish bookkeeping.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (sup.restarts() == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::yield();
+    waitFor([&] { return sup.restarts() != 0; }, "a supervisor restart");
     EXPECT_EQ(cp.supervisedJobFailures(), 1u);
     EXPECT_EQ(cp.threadRestarts(), 1u);
     EXPECT_EQ(sup.restarts(), 1u);
@@ -370,6 +401,24 @@ TEST(Supervisor, ExternalHeartbeatStallsAreCounted)
     EXPECT_EQ(sup.externalStalls(), 2u);
 }
 
+TEST(Supervisor, HeartbeatStampedAfterPollClockIsFresh)
+{
+    // A worker may stamp its heartbeat after a poll read its clock. A
+    // stamp ahead of the poll's "now" is fresh; unsigned now - stamp
+    // would wrap to ~2^64 and count a stall on a busy worker.
+    serve::CryptoPool cp(1);
+    serve::SupervisorConfig scfg;
+    scfg.pollIntervalUs = 200;
+    scfg.stallThresholdCycles = msCycles(1000.0);
+    serve::Supervisor sup(cp, scfg);
+
+    std::atomic<uint64_t> *hb = sup.watch("test-worker");
+    hb->store(rdcycles() + msCycles(100.0), std::memory_order_relaxed);
+    const uint64_t polls = sup.polls();
+    waitFor([&] { return sup.polls() >= polls + 5; }, "five polls");
+    EXPECT_EQ(sup.externalStalls(), 0u);
+}
+
 // ---------------------------------------------------------------------
 // First-wins and replica accounting (the Shed-cancel race regression)
 
@@ -395,20 +444,14 @@ TEST(CryptoPoolRace, SupervisorReapVsSlowCompletionSingleResolve)
     // The reap resolves the victim job *before* the restart counter
     // increments (so waiters never observe a counted restart whose
     // job still hangs); give the tail of the reap a moment to land.
-    const auto restartDeadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (cp.threadRestarts() == 0 &&
-           std::chrono::steady_clock::now() < restartDeadline)
-        std::this_thread::yield();
+    waitFor([&] { return cp.threadRestarts() != 0; },
+            "a crypto thread restart");
     EXPECT_GE(cp.threadRestarts(), 1u);
 
     // The zombie finishes its spin and completes the (already
     // resolved) job; completedJobs() proves it ran to completion.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (cp.completedJobs() == 0 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::yield();
+    waitFor([&] { return cp.completedJobs() != 0; },
+            "the zombie job to complete");
     EXPECT_EQ(cp.completedJobs(), 1u);
     // First-wins: the failure the waiter saw is still the outcome.
     EXPECT_THROW(job.wait(), crypto::ProviderFailureError);
@@ -861,11 +904,14 @@ TEST(ServeEngineOverload, ObservabilitySurfacesOverloadCounters)
     {
         serve::Supervisor sup(pool, supcfg);
         sup.bindMetrics(&reg);
+        // The pool's 1 ms budget would shed the job at dequeue on a
+        // loaded host, before the thread-death draw; an unbounded
+        // budget makes the job reach the draw deterministically.
         crypto::RsaJob doomed =
-            pool.submitRaw([] { return Bytes(); });
+            submitUnbounded(pool, [] { return Bytes(); });
         EXPECT_THROW(doomed.wait(), crypto::ProviderFailureError);
-        while (pool.threadRestarts() == 0)
-            std::this_thread::yield();
+        waitFor([&] { return pool.threadRestarts() != 0; },
+                "a crypto thread restart");
     }
 
     obs::MetricsSnapshot snap = reg.snapshot();
@@ -953,11 +999,7 @@ TEST(ChaosEngine, KilledCryptoThreadsEverySessionTerminates)
 
     // The failed jobs unblock their sessions before the supervisor's
     // counters tick; give its poll a moment to finish bookkeeping.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (sup.restarts() < 2 &&
-           std::chrono::steady_clock::now() < deadline)
-        std::this_thread::yield();
+    waitFor([&] { return sup.restarts() >= 2; }, "two supervisor restarts");
 
     EXPECT_EQ(stats.terminatedSessions(), 40u);
     EXPECT_EQ(pool.threadRestarts(), 2u);

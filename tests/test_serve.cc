@@ -451,6 +451,10 @@ captureTranscript(crypto::Provider *provider,
                 std::this_thread::yield();
                 continue;
             }
+            // The job can resolve between advance() and the check
+            // above: the next advance() consumes it.
+            if (server.advance())
+                continue;
             ADD_FAILURE() << "relay deadlocked";
             break;
         }
