@@ -237,7 +237,7 @@ struct Breakdown
 Breakdown
 profile(const Cell &cell, const Identity &id, int runs)
 {
-    auto provider = crypto::createProvider("instrumented");
+    crypto::Provider &provider = crypto::defaultProvider();
     ssl::SessionCache cache(16);
     crypto::RandomPool pool(
         benchPayload(16, 0xbead ^ static_cast<uint64_t>(cell.suite) ^
@@ -266,12 +266,12 @@ profile(const Cell &cell, const Identity &id, int runs)
         scfg.suites = {cell.suite};
         scfg.sessionCache = &cache;
         scfg.randomPool = &pool;
-        scfg.provider = provider.get();
+        scfg.provider = &provider;
 
         ssl::ClientConfig ccfg;
         ccfg.suites = {cell.suite};
         ccfg.randomPool = &pool;
-        ccfg.provider = provider.get();
+        ccfg.provider = &provider;
         if (cell.resumed && resume)
             ccfg.resumeSession = resume;
 

@@ -16,9 +16,8 @@
  *
  *  2. Steady-state zero-copy/zero-alloc: over a warmed-up bulk window
  *     the record.scratch_grows and record.pending_spills counters must
- *     not move — every record is laid out in the reusable arena (or a
- *     recycled pipelined staging buffer) and accepted whole by the
- *     transport. Checked for both the scalar and pipelined providers.
+ *     not move — every record is laid out in the reusable arena and
+ *     accepted whole by the transport.
  *
  * The reported (never gated) numbers are a record-size sweep of the
  * data plane: direct RecordLayer gather-send throughput, and a
@@ -52,8 +51,8 @@ struct Sender
     BioPair wires;
     RecordLayer layer;
 
-    Sender(crypto::Provider &provider, CipherSuiteId id, uint64_t seed)
-        : layer(wires.clientEnd(), &provider)
+    Sender(CipherSuiteId id, uint64_t seed)
+        : layer(wires.clientEnd(), &crypto::scalarProvider())
     {
         const CipherSuite &suite = cipherSuite(id);
         Xoshiro256 rng(seed);
@@ -157,10 +156,9 @@ splitSpans(const Bytes &payload, ConstSpan *iov)
  * sequence numbers and the CBC chain advancing through all of it.
  */
 bool
-wireIdentical(crypto::Provider &provider, CipherSuiteId id,
-              const std::vector<size_t> &sizes)
+wireIdentical(CipherSuiteId id, const std::vector<size_t> &sizes)
 {
-    Sender s(provider, id, /*seed=*/4242);
+    Sender s(id, /*seed=*/4242);
     LegacySealer legacy(crypto::scalarProvider(), id, /*seed=*/4242);
     for (size_t size : sizes) {
         Bytes payload = benchPayload(size, size * 131 + 11);
@@ -187,17 +185,16 @@ struct SteadyState
 };
 
 /**
- * Gate 2: warm the send path up (arena and staging buffers reach their
- * high-water size), then move a bulk window through it and report how
- * far the allocation/spill counters moved. Zero is the contract.
+ * Gate 2: warm the send path up (the arena reaches its high-water
+ * size), then move a bulk window through it and report how far the
+ * allocation/spill counters moved. Zero is the contract.
  */
 SteadyState
-measureSteadyState(crypto::Provider &provider, CipherSuiteId id,
-                   size_t record_bytes, int records)
+measureSteadyState(CipherSuiteId id, size_t record_bytes, int records)
 {
     obs::MetricsRegistry registry;
     RecordCounters counters = RecordCounters::resolve(registry);
-    Sender s(provider, id, /*seed=*/99);
+    Sender s(id, /*seed=*/99);
     s.layer.bindCounters(&counters);
 
     Bytes payload = benchPayload(record_bytes, record_bytes + 3);
@@ -234,10 +231,9 @@ struct LayerSample
 
 /** Direct RecordLayer gather-send throughput at one record size. */
 LayerSample
-measureLayer(crypto::Provider &provider, CipherSuiteId id,
-             size_t record_bytes, int reps)
+measureLayer(CipherSuiteId id, size_t record_bytes, int reps)
 {
-    Sender s(provider, id, /*seed=*/7);
+    Sender s(id, /*seed=*/7);
     Bytes payload = benchPayload(record_bytes, record_bytes * 5 + 1);
     ConstSpan iov[3];
     size_t iovcnt = splitSpans(payload, iov);
@@ -370,9 +366,6 @@ main(int argc, char **argv)
         smoke ? 1 : 2,
         std::max(1u, std::thread::hardware_concurrency()));
 
-    crypto::Provider &scalar = crypto::scalarProvider();
-    crypto::PipelinedProvider pipelined;
-
     const auto &key = benchKey(1024);
     pki::CertificateInfo info;
     info.serial = 1;
@@ -397,46 +390,35 @@ main(int argc, char **argv)
     // --- Gate 1: wire identity vs the legacy copy path ---
     j.beginArray("wire_identity");
     for (CipherSuiteId id : suites) {
-        for (crypto::Provider *p :
-             {&scalar, static_cast<crypto::Provider *>(&pipelined)}) {
-            bool identical = wireIdentical(*p, id, identity_sizes);
-            all_identical = all_identical && identical;
-            j.beginObject();
-            j.field("suite", suiteName(id));
-            j.field("provider",
-                    p == &scalar ? "scalar" : "pipelined");
-            j.field("identical", identical);
-            j.endObject();
-        }
+        bool identical = wireIdentical(id, identity_sizes);
+        all_identical = all_identical && identical;
+        j.beginObject();
+        j.field("suite", suiteName(id));
+        j.field("identical", identical);
+        j.endObject();
     }
     j.endArray();
 
     // --- Gate 2: steady-state zero-alloc / zero-spill ---
     j.beginArray("steady_state");
     for (CipherSuiteId id : suites) {
-        for (crypto::Provider *p :
-             {&scalar, static_cast<crypto::Provider *>(&pipelined)}) {
-            SteadyState ss =
-                measureSteadyState(*p, id, 16384, steady_records);
-            all_steady = all_steady && ss.ok();
-            j.beginObject();
-            j.field("suite", suiteName(id));
-            j.field("provider",
-                    p == &scalar ? "scalar" : "pipelined");
-            j.field("records", static_cast<uint64_t>(steady_records));
-            j.field("scratch_grows", ss.scratchGrows);
-            j.field("pending_spills", ss.pendingSpills);
-            j.field("steady_ok", ss.ok());
-            j.endObject();
-        }
+        SteadyState ss = measureSteadyState(id, 16384, steady_records);
+        all_steady = all_steady && ss.ok();
+        j.beginObject();
+        j.field("suite", suiteName(id));
+        j.field("records", static_cast<uint64_t>(steady_records));
+        j.field("scratch_grows", ss.scratchGrows);
+        j.field("pending_spills", ss.pendingSpills);
+        j.field("steady_ok", ss.ok());
+        j.endObject();
     }
     j.endArray();
 
     // --- Reported: record-size sweep, RecordLayer and ServeEngine ---
     j.beginArray("results");
     for (size_t size : sweep) {
-        LayerSample layer = measureLayer(
-            scalar, CipherSuiteId::RSA_AES_128_CBC_SHA, size, reps);
+        LayerSample layer =
+            measureLayer(CipherSuiteId::RSA_AES_128_CBC_SHA, size, reps);
         // Bulk volume scales with the record size so every cell moves
         // a meaningful number of batched flushes without dwarfing the
         // smoke budget.

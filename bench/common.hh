@@ -115,7 +115,7 @@ benchPayload(size_t len, uint64_t seed = 0xda7a)
 
 /**
  * Streaming JSON emitter shared by the machine-readable benches
- * (bench_engine_pipeline, bench_serve_scale), so the BENCH_*.json
+ * (bench_serve_scale, bench_serve_throughput, ...), so the BENCH_*.json
  * documents all follow one formatting discipline: two-space indent,
  * commas managed by nesting level, fixed-precision doubles.
  *

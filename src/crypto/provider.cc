@@ -1,61 +1,11 @@
 #include "crypto/provider.hh"
 
-#include <condition_variable>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "perf/probe.hh"
 
 namespace ssla::crypto
 {
-
-// ---------------------------------------------------------------------
-// MacJob
-
-struct MacJob::State
-{
-    // Job inputs (spec copied so the job is self-contained; the data
-    // view and the output slot are the caller's responsibility until
-    // wait() returns).
-    RecordMacSpec spec;
-    uint64_t seq = 0;
-    uint8_t type = 0;
-    ConstSpan data;
-    uint8_t *out = nullptr;
-
-    // Result rendezvous.
-    std::mutex m;
-    std::condition_variable cv;
-    bool ready = false;
-    size_t macLen = 0;
-    std::exception_ptr error;
-
-    void
-    finish(size_t len, std::exception_ptr err)
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            macLen = len;
-            error = std::move(err);
-            ready = true;
-        }
-        cv.notify_all();
-    }
-};
-
-size_t
-MacJob::wait()
-{
-    if (!state_)
-        throw std::logic_error("MacJob::wait: empty job");
-    std::unique_lock<std::mutex> lock(state_->m);
-    state_->cv.wait(lock, [&] { return state_->ready; });
-    if (state_->error)
-        std::rethrow_exception(state_->error);
-    return state_->macLen;
-}
 
 // ---------------------------------------------------------------------
 // RsaJob
@@ -155,22 +105,6 @@ computeRecordMacWith(Provider &p, const RecordMacSpec &spec,
 }
 
 } // anonymous namespace
-
-MacJob
-Provider::submitRecordMac(const RecordMacSpec &spec, uint64_t seq,
-                          uint8_t type, ConstSpan data,
-                          uint8_t *mac_out)
-{
-    // Synchronous providers resolve at submit time.
-    auto state = std::make_shared<MacJob::State>();
-    try {
-        state->macLen = recordMac(spec, seq, type, data, mac_out);
-    } catch (...) {
-        state->error = std::current_exception();
-    }
-    state->ready = true;
-    return MacJob(std::move(state));
-}
 
 RsaJob
 Provider::submitRsaDecrypt(const RsaPrivateKey &key, Bytes cipher)
@@ -329,225 +263,7 @@ InstrumentedProvider::rsaSign(const RsaPrivateKey &key,
 }
 
 // ---------------------------------------------------------------------
-// PipelinedProvider
-
-struct PipelinedProvider::Engine
-{
-    explicit Engine(ScalarProvider &scalar) : scalar(scalar)
-    {
-        worker = std::thread([this] { run(); });
-    }
-
-    ~Engine()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            stopping = true;
-        }
-        cv.notify_all();
-        worker.join();
-    }
-
-    void
-    submit(std::shared_ptr<MacJob::State> job)
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            queue.push_back(std::move(job));
-        }
-        cv.notify_one();
-    }
-
-    void
-    run()
-    {
-        for (;;) {
-            std::shared_ptr<MacJob::State> job;
-            {
-                std::unique_lock<std::mutex> lock(m);
-                cv.wait(lock,
-                        [&] { return stopping || !queue.empty(); });
-                if (queue.empty())
-                    return; // stopping and drained
-                job = std::move(queue.front());
-                queue.pop_front();
-            }
-            size_t mac_len = 0;
-            std::exception_ptr err;
-            try {
-                mac_len = computeRecordMacWith(scalar, job->spec,
-                                               job->seq, job->type,
-                                               job->data, job->out);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            job->finish(mac_len, std::move(err));
-        }
-    }
-
-    ScalarProvider &scalar;
-    std::mutex m;
-    std::condition_variable cv;
-    std::deque<std::shared_ptr<MacJob::State>> queue;
-    bool stopping = false;
-    std::thread worker;
-};
-
-PipelinedProvider::PipelinedProvider()
-    : engine_(std::make_unique<Engine>(scalar_))
-{
-}
-
-PipelinedProvider::~PipelinedProvider() = default;
-
-std::unique_ptr<Cipher>
-PipelinedProvider::createCipher(CipherAlg alg, const Bytes &key,
-                                const Bytes &iv, bool encrypt)
-{
-    return scalar_.createCipher(alg, key, iv, encrypt);
-}
-
-std::unique_ptr<Digest>
-PipelinedProvider::createDigest(DigestAlg alg)
-{
-    return scalar_.createDigest(alg);
-}
-
-std::unique_ptr<Hmac>
-PipelinedProvider::createHmac(DigestAlg alg, const Bytes &key)
-{
-    return scalar_.createHmac(alg, key);
-}
-
-size_t
-PipelinedProvider::recordMac(const RecordMacSpec &spec, uint64_t seq,
-                             uint8_t type, ConstSpan data,
-                             uint8_t *mac_out)
-{
-    return computeRecordMacWith(scalar_, spec, seq, type, data,
-                                mac_out);
-}
-
-MacJob
-PipelinedProvider::submitRecordMac(const RecordMacSpec &spec,
-                                   uint64_t seq, uint8_t type,
-                                   ConstSpan data, uint8_t *mac_out)
-{
-    auto state = std::make_shared<MacJob::State>();
-    state->spec = spec;
-    state->seq = seq;
-    state->type = type;
-    state->data = data;
-    state->out = mac_out;
-    engine_->submit(state);
-    return MacJob(std::move(state));
-}
-
-Bytes
-PipelinedProvider::rsaDecrypt(const RsaPrivateKey &key,
-                              const Bytes &cipher)
-{
-    return scalar_.rsaDecrypt(key, cipher);
-}
-
-Bytes
-PipelinedProvider::rsaSign(const RsaPrivateKey &key,
-                           const Bytes &digest_data)
-{
-    return scalar_.rsaSign(key, digest_data);
-}
-
-// ---------------------------------------------------------------------
-// FastProvider
-
-std::unique_ptr<Cipher>
-FastProvider::createCipher(CipherAlg alg, const Bytes &key,
-                           const Bytes &iv, bool encrypt)
-{
-    return scalar_.createCipher(alg, key, iv, encrypt);
-}
-
-std::unique_ptr<Digest>
-FastProvider::createDigest(DigestAlg alg)
-{
-    return scalar_.createDigest(alg);
-}
-
-std::unique_ptr<Hmac>
-FastProvider::createHmac(DigestAlg alg, const Bytes &key)
-{
-    return scalar_.createHmac(alg, key);
-}
-
-size_t
-FastProvider::recordMac(const RecordMacSpec &spec, uint64_t seq,
-                        uint8_t type, ConstSpan data, uint8_t *mac_out)
-{
-    return computeRecordMacWith(scalar_, spec, seq, type, data,
-                                mac_out);
-}
-
-const bn::Engine &
-FastProvider::bnEngine() const
-{
-    return bn::bn64Engine();
-}
-
-const RsaPrivateKey &
-FastProvider::fastKey(const RsaPrivateKey &key)
-{
-    if (key.bnEngine().backend() == bn::BnBackend::Bn64)
-        return key;
-
-    // Per-thread bn64 replicas of bn32-built keys, the CryptoPool's
-    // replication idea applied at the provider seam: each thread owns
-    // its replica outright, so the Montgomery scratch and the mutable
-    // blinding pair never see two threads. Keyed by source address
-    // with an n/e identity check (an allocator may reuse a freed key's
-    // address for a different key). Bounded: servers hold a handful of
-    // long-lived identity keys, so eviction is a correctness valve,
-    // not a hot path.
-    struct Entry
-    {
-        const RsaPrivateKey *src;
-        std::unique_ptr<RsaPrivateKey> replica;
-    };
-    constexpr size_t max_entries = 8;
-    static thread_local std::vector<Entry> cache;
-
-    for (auto it = cache.begin(); it != cache.end(); ++it) {
-        if (it->src != &key)
-            continue;
-        if (it->replica->publicKey().n == key.publicKey().n &&
-            it->replica->publicKey().e == key.publicKey().e)
-            return *it->replica;
-        cache.erase(it); // stale: address reused by a different key
-        break;
-    }
-
-    if (cache.size() >= max_entries)
-        cache.erase(cache.begin());
-    cache.push_back(
-        {&key, std::make_unique<RsaPrivateKey>(
-                   key.publicKey().n, key.publicKey().e, key.d(),
-                   key.p(), key.q(), &bn::bn64Engine())});
-    return *cache.back().replica;
-}
-
-Bytes
-FastProvider::rsaDecrypt(const RsaPrivateKey &key, const Bytes &cipher)
-{
-    return rsaPrivateDecrypt(fastKey(key), cipher);
-}
-
-Bytes
-FastProvider::rsaSign(const RsaPrivateKey &key, const Bytes &digest_data)
-{
-    return crypto::rsaSign(fastKey(key), digest_data);
-}
-
-// ---------------------------------------------------------------------
-// Registry
+// Process-wide providers
 
 Provider &
 scalarProvider()
@@ -561,29 +277,6 @@ defaultProvider()
 {
     static InstrumentedProvider provider(scalarProvider());
     return provider;
-}
-
-std::unique_ptr<Provider>
-createProvider(const std::string &name)
-{
-    if (name == "scalar")
-        return std::make_unique<ScalarProvider>();
-    if (name == "instrumented")
-        return std::make_unique<InstrumentedProvider>(scalarProvider());
-    if (name == "pipelined")
-        return std::make_unique<PipelinedProvider>();
-    if (name == "fast")
-        return std::make_unique<FastProvider>();
-    throw std::invalid_argument("createProvider: unknown provider '" +
-                                name + "'");
-}
-
-const std::vector<std::string> &
-providerNames()
-{
-    static const std::vector<std::string> names = {
-        "scalar", "instrumented", "pipelined", "fast"};
-    return names;
 }
 
 } // namespace ssla::crypto

@@ -6,24 +6,22 @@
  * Every cipher, digest and HMAC instance (and every RSA private-key
  * operation) used by the record layer, the handshake state machines,
  * the web simulator and the benches is created through a Provider.
- * Three providers ship:
+ * Two providers ship, both synchronous:
  *
- *  - ScalarProvider: today's synchronous scalar kernels, unchanged.
+ *  - ScalarProvider: the bare scalar kernels.
  *  - InstrumentedProvider: a decorator that brackets each record-level
  *    operation with the perf probes the paper's Table 2/3 breakdowns
  *    use ("mac", "pri_encryption", "pri_decryption"), so the cycle
  *    accounting lives in the dispatch layer instead of ad-hoc call
  *    sites.
- *  - PipelinedProvider: a worker-thread crypto engine implementing the
- *    paper's Section 6.2 optimization — the record MAC of record n+1
- *    is computed while record n is being CBC-encrypted (see
- *    RecordLayer::sendMany()).
- *  - FastProvider: scalar record path, but all RSA private-key math on
- *    the bn64 engine (64-bit limbs + Karatsuba) — the modern backend
- *    A/B'd against the paper-era core by bench_bn_backend.
+ *
+ * The one asynchronous seam is the RSA private-key operation
+ * (submitRsaDecrypt/submitRsaSign returning an RsaJob): the base class
+ * resolves it inline, a pool-backed decorator (serve::PooledProvider)
+ * completes it on a crypto thread.
  *
  * Each provider also names the bignum backend its public-key math runs
- * on (bnEngine()); the paper-era providers pin bn32 so the Table 7/8
+ * on (bnEngine()); both shipped providers pin bn32 so the Table 7/8
  * profiles stay anchored.
  *
  * The record MAC is a first-class provider operation (rather than a
@@ -39,8 +37,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <vector>
+#include <stdexcept>
 
 #include "crypto/cipher.hh"
 #include "crypto/digest.hh"
@@ -67,38 +64,6 @@ struct RecordMacSpec
     DigestAlg alg = DigestAlg::SHA1;
     Bytes secret;
     uint16_t version = 0x0300;
-};
-
-/**
- * Handle to a (possibly asynchronous) record-MAC computation that
- * writes its result into caller-owned storage (span discipline: the
- * engine fills the MAC slot of the staged wire image directly, no
- * intermediate Bytes).
- *
- * Synchronous providers resolve the job at submit time; the pipelined
- * provider resolves it on its worker thread. wait() blocks until the
- * MAC has been written and rethrows any exception the job raised.
- */
-class MacJob
-{
-  public:
-    struct State;
-
-    MacJob() = default;
-    explicit MacJob(std::shared_ptr<State> state)
-        : state_(std::move(state))
-    {}
-
-    /**
-     * Block until the MAC is in the submit-time output slot; returns
-     * the MAC length written there.
-     */
-    size_t wait();
-
-    bool valid() const { return state_ != nullptr; }
-
-  private:
-    std::shared_ptr<State> state_;
 };
 
 /**
@@ -141,12 +106,12 @@ class ProviderFailureError : public std::runtime_error
 /**
  * Handle to a (possibly asynchronous) RSA private-key operation.
  *
- * Unlike MacJob, an RsaJob owns its input bytes, so the submitting
- * state machine may discard the handshake message and service other
- * sessions while the operation is in flight. ready() is a lock-free
- * poll: a serving worker parks the session and revisits it instead of
- * blocking, the paper's Section 6.2 "do other useful work while the
- * crypto operation is executed" applied across connections.
+ * An RsaJob owns its input bytes, so the submitting state machine may
+ * discard the handshake message and service other sessions while the
+ * operation is in flight. ready() is a lock-free poll: a serving
+ * worker parks the session and revisits it instead of blocking, the
+ * paper's Section 6.2 "do other useful work while the crypto operation
+ * is executed" applied across connections.
  */
 class RsaJob
 {
@@ -244,7 +209,7 @@ class Provider
   public:
     virtual ~Provider() = default;
 
-    /** Registry name ("scalar", "instrumented", "pipelined", "fast"). */
+    /** Short name for logs and tests ("scalar", "instrumented", ...). */
     virtual const char *name() const = 0;
 
     /** Create a bulk-cipher instance (see Cipher). */
@@ -271,16 +236,6 @@ class Provider
                              uint8_t type, ConstSpan data,
                              uint8_t *mac_out) = 0;
 
-    /**
-     * Submit a record MAC for (possibly asynchronous) computation into
-     * @p mac_out. Both @p data and @p mac_out must stay valid (and the
-     * output slot untouched) until the returned job's wait() returns.
-     * The base implementation computes inline.
-     */
-    virtual MacJob submitRecordMac(const RecordMacSpec &spec,
-                                   uint64_t seq, uint8_t type,
-                                   ConstSpan data, uint8_t *mac_out);
-
     /** RSA private-key decryption (PKCS#1 v1.5). */
     virtual Bytes rsaDecrypt(const RsaPrivateKey &key,
                              const Bytes &cipher) = 0;
@@ -305,18 +260,9 @@ class Provider
                                  Bytes digest_data);
 
     /**
-     * True when submitRecordMac() overlaps with the caller — i.e. the
-     * record layer should use the scatter/gather pipeline in
-     * sendMany() to realize the paper's Section 6.2 MAC/encrypt
-     * overlap.
-     */
-    virtual bool pipelined() const { return false; }
-
-    /**
      * The bignum backend this provider's public-key math runs on. The
-     * base (and every paper-era provider: scalar, instrumented,
-     * pipelined) reports bn32 — keeping the Table 7/8 profiling anchor
-     * bit-for-bit unchanged; the fast provider reports bn64. Callers
+     * base (and so both shipped providers) reports bn32 — keeping the
+     * Table 7/8 profiling anchor bit-for-bit unchanged. Callers
      * driving engine-sensitive work outside the provider surface (DHE
      * key agreement, PKI verification via the free bn::modExp) wrap it
      * in bn::EngineScope(provider.bnEngine()).
@@ -376,82 +322,6 @@ class InstrumentedProvider final : public Provider
     Provider &inner_;
 };
 
-/**
- * The asynchronous engine of the paper's Section 6.2: a worker thread
- * computes submitted record MACs while the caller keeps encrypting.
- * Object creation delegates to the scalar kernels; only the record-MAC
- * operation is offloaded (the CBC chain serializes encryption on the
- * submitting thread, exactly the constraint the paper notes).
- */
-class PipelinedProvider final : public Provider
-{
-  public:
-    PipelinedProvider();
-    ~PipelinedProvider() override;
-
-    PipelinedProvider(const PipelinedProvider &) = delete;
-    PipelinedProvider &operator=(const PipelinedProvider &) = delete;
-
-    const char *name() const override { return "pipelined"; }
-    std::unique_ptr<Cipher> createCipher(CipherAlg alg, const Bytes &key,
-                                         const Bytes &iv,
-                                         bool encrypt) override;
-    std::unique_ptr<Digest> createDigest(DigestAlg alg) override;
-    std::unique_ptr<Hmac> createHmac(DigestAlg alg,
-                                     const Bytes &key) override;
-    size_t recordMac(const RecordMacSpec &spec, uint64_t seq,
-                     uint8_t type, ConstSpan data,
-                     uint8_t *mac_out) override;
-    MacJob submitRecordMac(const RecordMacSpec &spec, uint64_t seq,
-                           uint8_t type, ConstSpan data,
-                           uint8_t *mac_out) override;
-    Bytes rsaDecrypt(const RsaPrivateKey &key,
-                     const Bytes &cipher) override;
-    Bytes rsaSign(const RsaPrivateKey &key,
-                  const Bytes &digest_data) override;
-    bool pipelined() const override { return true; }
-
-  private:
-    struct Engine;
-    ScalarProvider scalar_;
-    std::unique_ptr<Engine> engine_;
-};
-
-/**
- * The modern-backend provider ("fast"): scalar kernels for the bulk
- * cipher/digest/MAC path, bn64 (64-bit limbs, __int128 intermediates,
- * Karatsuba) for all RSA private-key math. Keys already built on bn64
- * are used directly; keys built on bn32 are transparently replicated
- * onto bn64 once per thread (mirroring the CryptoPool's per-thread key
- * replicas), so the single-owner Montgomery scratch and blinding
- * contracts hold without locks.
- */
-class FastProvider final : public Provider
-{
-  public:
-    const char *name() const override { return "fast"; }
-    std::unique_ptr<Cipher> createCipher(CipherAlg alg, const Bytes &key,
-                                         const Bytes &iv,
-                                         bool encrypt) override;
-    std::unique_ptr<Digest> createDigest(DigestAlg alg) override;
-    std::unique_ptr<Hmac> createHmac(DigestAlg alg,
-                                     const Bytes &key) override;
-    size_t recordMac(const RecordMacSpec &spec, uint64_t seq,
-                     uint8_t type, ConstSpan data,
-                     uint8_t *mac_out) override;
-    Bytes rsaDecrypt(const RsaPrivateKey &key,
-                     const Bytes &cipher) override;
-    Bytes rsaSign(const RsaPrivateKey &key,
-                  const Bytes &digest_data) override;
-    const bn::Engine &bnEngine() const override;
-
-  private:
-    /** @p key itself when bn64-bound, else this thread's bn64 replica. */
-    const RsaPrivateKey &fastKey(const RsaPrivateKey &key);
-
-    ScalarProvider scalar_;
-};
-
 /** The process-wide scalar provider singleton. */
 Provider &scalarProvider();
 
@@ -461,16 +331,6 @@ Provider &scalarProvider();
  * installed costs one branch).
  */
 Provider &defaultProvider();
-
-/**
- * Create an owned provider by registry name: "scalar", "instrumented"
- * (wrapping the scalar singleton), "pipelined" or "fast".
- * @throws std::invalid_argument for unknown names
- */
-std::unique_ptr<Provider> createProvider(const std::string &name);
-
-/** All registry names, in presentation order. */
-const std::vector<std::string> &providerNames();
 
 } // namespace ssla::crypto
 

@@ -55,9 +55,9 @@ class RsaPrivateKey
      * Assemble from components (validates basic consistency). All
      * Montgomery contexts bind to @p engine — nullptr selects the
      * calling thread's bn::activeEngine() (bn32 unless overridden), so
-     * existing call sites keep the paper-era core. Thread replicas
-     * (CryptoPool, FastProvider) clone with the source key's engine so
-     * the backend survives replication.
+     * existing call sites keep the paper-era core. CryptoPool thread
+     * replicas clone with the source key's engine so the backend
+     * survives replication.
      */
     RsaPrivateKey(bn::BigNum n, bn::BigNum e, bn::BigNum d, bn::BigNum p,
                   bn::BigNum q, const bn::Engine *engine = nullptr);

@@ -17,8 +17,9 @@
  * ClientKeyExchange parks on the offloaded RSA decrypt
  * (SslServer::waitingOnCrypto()) and its worker moves on to the next
  * session in the shard — the Section 6.2 "other useful work" applied
- * across connections rather than within one record path (which PR 2's
- * PipelinedProvider already covers).
+ * across connections. Within one record path the paper's MAC/encrypt
+ * overlap is a hardware proposal; it lives only in the perf/ablation
+ * model, and every record is sealed synchronously.
  */
 
 #ifndef SSLA_SERVE_ENGINE_HH

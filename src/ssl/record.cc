@@ -121,17 +121,11 @@ void
 RecordLayer::sendMany(ContentType type,
                       const std::span<const uint8_t> *iov, size_t iovcnt)
 {
+    // One fragment at a time, exactly the classic MAC(n) -> encrypt(n)
+    // -> MAC(n+1) -> ... sequence, with each record laid out and sealed
+    // in the reusable arena (cipher on) or gather-written straight from
+    // the caller's spans (plaintext).
     size_t total = iovTotalBytes(iov, iovcnt);
-
-    if (send_.active() && provider_->pipelined() && total > maxFragment) {
-        sendPipelined(type, iov, iovcnt);
-        return;
-    }
-
-    // Synchronous path: one fragment at a time, exactly the classic
-    // MAC(n) -> encrypt(n) -> MAC(n+1) -> ... sequence, with each
-    // record laid out and sealed in the reusable arena (cipher on) or
-    // gather-written straight from the caller's spans (plaintext).
     IoVecCursor cur(iov, iovcnt);
     size_t sent = 0;
     do {
@@ -255,68 +249,6 @@ RecordLayer::sendCipherRecord(ContentType type, IoVecCursor &cur,
     fillHeader(wire.data(), type, frag_len);
     ConstSpan one{wire.data(), 5 + frag_len};
     deliver(&one, 1, chunk);
-}
-
-void
-RecordLayer::sendPipelined(ContentType type,
-                           const std::span<const uint8_t> *iov,
-                           size_t iovcnt)
-{
-    // Stage every fragment, submit all MAC jobs to the engine, then
-    // encrypt in record order: while record n is CBC-encrypted here,
-    // the engine worker is already hashing record n+1 (Section 6.2).
-    // Staging buffers hold the full wire image (the engine writes the
-    // MAC directly into its slot) and are recycled through stagePool_,
-    // so steady-state bulk sends do not allocate either.
-    struct Staged
-    {
-        Bytes buf;          ///< header | payload | MAC | pad image
-        size_t payload = 0;
-        crypto::MacJob job;
-    };
-
-    size_t total = iovTotalBytes(iov, iovcnt);
-    size_t mac_max = send_.suite->macLen();
-    size_t block = send_.suite->blockLen();
-
-    std::vector<Staged> staged;
-    staged.reserve((total + maxFragment - 1) / maxFragment);
-
-    IoVecCursor cur(iov, iovcnt);
-    size_t sent = 0;
-    while (sent < total) {
-        size_t chunk = std::min(total - sent, maxFragment);
-        Staged s;
-        if (!stagePool_.empty()) {
-            s.buf = std::move(stagePool_.back());
-            stagePool_.pop_back();
-        }
-        size_t cap_before = s.buf.capacity();
-        // Full final size up front: the buffer must not move between
-        // submit and wait (the engine holds raw data/MAC pointers).
-        s.buf.resize(5 + chunk + mac_max + block);
-        if (s.buf.capacity() != cap_before)
-            obs_->scratchGrows.inc();
-        s.payload = chunk;
-        cur.gather(s.buf.data() + 5, chunk);
-        staged.push_back(std::move(s));
-        Staged &back = staged.back();
-        back.job = provider_->submitRecordMac(
-            send_.macSpec, send_.seq++, static_cast<uint8_t>(type),
-            ConstSpan{back.buf.data() + 5, chunk},
-            back.buf.data() + 5 + chunk);
-        sent += chunk;
-    }
-
-    for (Staged &s : staged) {
-        size_t mac_len = s.job.wait();
-        size_t frag_len =
-            padAndEncrypt(s.buf.data() + 5, s.payload + mac_len);
-        fillHeader(s.buf.data(), type, frag_len);
-        ConstSpan one{s.buf.data(), 5 + frag_len};
-        deliver(&one, 1, s.payload);
-        stagePool_.push_back(std::move(s.buf));
-    }
 }
 
 std::optional<Record>

@@ -8,10 +8,10 @@
  * (all three fire from the crypto provider's dispatch layer — see
  * crypto/provider.hh).
  *
- * All crypto objects are created through a crypto::Provider; with a
- * pipelined provider, sendMany() realizes the paper's Section 6.2
- * optimization by computing the MAC of record n+1 on the engine's
- * worker while record n is being CBC-encrypted.
+ * All crypto objects are created through a crypto::Provider. Every
+ * send seals records synchronously, MAC then encrypt, one record at a
+ * time in a reusable arena; the paper's Section 6.2 MAC/encrypt
+ * overlap is a hardware proposal and is modelled in perf/ablation.
  */
 
 #ifndef SSLA_SSL_RECORD_HH
@@ -87,10 +87,10 @@ struct RecordCounters
     obs::Counter recordsIn;
     obs::Counter bytesIn;
     /**
-     * Data-plane allocation events on the send path: scratch-arena /
-     * staging-buffer reallocations and whole-record spills into the
-     * would-block retry queue. Both must read zero over a steady-state
-     * window — the gate bench_serve_throughput asserts.
+     * Data-plane allocation events on the send path: scratch-arena
+     * reallocations and whole-record spills into the would-block retry
+     * queue. Both must read zero over a steady-state window — the gate
+     * bench_serve_throughput asserts.
      */
     obs::Counter scratchGrows;
     obs::Counter pendingSpills;
@@ -155,10 +155,9 @@ class RecordLayer
 
     /**
      * Scatter/gather send: the concatenation of @p iov is fragmented
-     * into records of @p type. Under a pipelined provider the record
-     * MACs are computed by the engine worker one record ahead of the
-     * CBC encryption (the paper's Figure 6 overlap); the wire bytes
-     * are identical to the sequential send() path.
+     * into records of @p type, with wire bytes identical to send() of
+     * the concatenated buffer. Slice boundaries need not align with
+     * record boundaries; empty slices are skipped.
      */
     void sendMany(ContentType type,
                   const std::span<const uint8_t> *iov, size_t iovcnt);
@@ -238,11 +237,6 @@ class RecordLayer
     void sendPlainRecord(ContentType type, IoVecCursor &cur,
                          size_t chunk);
 
-    /** The overlapped multi-record path (pipelined providers). */
-    void sendPipelined(ContentType type,
-                       const std::span<const uint8_t> *iov,
-                       size_t iovcnt);
-
     /** Fill a 5-byte record header in place. */
     void fillHeader(uint8_t *hdr, ContentType type,
                     size_t frag_len) const;
@@ -269,9 +263,8 @@ class RecordLayer
     RecordCipherState send_;
     RecordCipherState recv_;
     std::deque<Bytes> pendingOut_; ///< sealed records the bio refused
-    ScratchArena arena_;           ///< reusable wire image (sync path)
+    ScratchArena arena_;           ///< reusable wire image
     uint64_t arenaGrowsSeen_ = 0;  ///< grows already counted
-    std::vector<Bytes> stagePool_; ///< recycled pipelined staging bufs
     std::vector<ConstSpan> iovScratch_; ///< reused plaintext slice list
     uint16_t version_ = ssl3Version;
     bool versionLocked_ = false;

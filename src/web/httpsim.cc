@@ -35,7 +35,6 @@ TransactionStats::total() const
 struct WebSimulator::Impl
 {
     WebSimConfig config;
-    std::unique_ptr<crypto::Provider> provider;
     crypto::RsaKeyPair serverKey;
     pki::Certificate certificate;
     ssl::SessionCache sessionCache{256};
@@ -43,8 +42,7 @@ struct WebSimulator::Impl
     ssl::Session lastSession;
 
     explicit Impl(const WebSimConfig &cfg)
-        : config(cfg), provider(crypto::createProvider(cfg.provider)),
-          pool(Bytes{0x42})
+        : config(cfg), pool(Bytes{0x42})
     {
         Xoshiro256 rng(cfg.seed);
         bn::RngFunc rf = [&rng](uint8_t *out, size_t len) {
@@ -141,12 +139,10 @@ WebSimulator::fetch(const std::string &path, size_t file_size)
     scfg.suites = {im.config.suite};
     scfg.sessionCache = &im.sessionCache;
     scfg.randomPool = &im.pool;
-    scfg.provider = im.provider.get();
 
     ssl::ClientConfig ccfg;
     ccfg.suites = {im.config.suite};
     ccfg.randomPool = &im.pool;
-    ccfg.provider = im.provider.get();
 
     ssl::SslServer server(scfg, wires.serverEnd());
     ssl::SslClient client(ccfg, wires.clientEnd());
@@ -202,12 +198,10 @@ WebSimulator::runSession(size_t requests, size_t file_size,
     scfg.suites = {im.config.suite};
     scfg.sessionCache = &im.sessionCache;
     scfg.randomPool = &im.pool;
-    scfg.provider = im.provider.get();
 
     ssl::ClientConfig ccfg;
     ccfg.suites = {im.config.suite};
     ccfg.randomPool = &im.pool;
-    ccfg.provider = im.provider.get();
     if (resume_session && im.lastSession.valid())
         ccfg.resumeSession = im.lastSession;
 
@@ -334,12 +328,10 @@ WebSimulator::runTunnel(size_t total_bytes, size_t chunk_bytes)
     scfg.suites = {im.config.suite};
     scfg.sessionCache = &im.sessionCache;
     scfg.randomPool = &im.pool;
-    scfg.provider = im.provider.get();
 
     ssl::ClientConfig ccfg;
     ccfg.suites = {im.config.suite};
     ccfg.randomPool = &im.pool;
-    ccfg.provider = im.provider.get();
 
     perf::PerfContext ctx;
     uint64_t server_cycles = 0;

@@ -58,7 +58,11 @@ struct TransactionStats
     void merge(const TransactionStats &other);
 };
 
-/** Configuration of the simulated server + client pair. */
+/**
+ * Configuration of the simulated server + client pair. Both endpoints
+ * run on crypto::defaultProvider(), whose probes the Table 1 / Figure 2
+ * breakdowns aggregate.
+ */
 struct WebSimConfig
 {
     ssl::CipherSuiteId suite =
@@ -67,12 +71,6 @@ struct WebSimConfig
     KernelModelParams model;
     /** Deterministic seed for key generation and randoms. */
     uint64_t seed = 0x55aa55aa;
-    /**
-     * Crypto provider registry name for both endpoints (see
-     * crypto/provider.hh). The default keeps the dispatch-layer
-     * probes the Table 1 / Figure 2 breakdowns aggregate.
-     */
-    std::string provider = "instrumented";
     /**
      * Registry the server's /metrics route exposes in Prometheus text
      * format (see obs::writePrometheusText); null scrapes the global

@@ -1,9 +1,7 @@
 /**
  * @file
- * Crypto provider layer tests: registry lookup, the instrumented
- * decorator's probe accounting, and the pipelined engine's record-layer
- * behavior (round-trips, fragment boundaries, wire equivalence with
- * the scalar path).
+ * Crypto provider layer tests: the shipped providers' bignum anchor and
+ * the instrumented decorator's probe accounting and kernel equivalence.
  */
 
 #include <gtest/gtest.h>
@@ -20,58 +18,11 @@ namespace
 using namespace ssla;
 using namespace ssla::ssl;
 
-/** Drain every byte currently queued at @p end. */
-Bytes
-drainWire(BioEndpoint end)
-{
-    Bytes wire(end.available());
-    end.read(wire.data(), wire.size());
-    return wire;
-}
-
-TEST(ProviderRegistry, CreatesEveryListedProvider)
-{
-    for (const std::string &name : crypto::providerNames()) {
-        auto p = crypto::createProvider(name);
-        ASSERT_TRUE(p) << name;
-        EXPECT_EQ(p->name(), name);
-    }
-}
-
-TEST(ProviderRegistry, ListsAllFourEngines)
-{
-    const auto &names = crypto::providerNames();
-    EXPECT_EQ(names.size(), 4u);
-    EXPECT_NE(std::find(names.begin(), names.end(), "scalar"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "instrumented"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "pipelined"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "fast"),
-              names.end());
-}
-
 TEST(ProviderRegistry, BnEnginePerProvider)
 {
-    // Paper-era providers pin the bn32 profiling anchor; only the fast
-    // provider switches the public-key math to bn64.
-    EXPECT_EQ(crypto::createProvider("scalar")->bnEngine().limbBits(),
-              32u);
-    EXPECT_EQ(
-        crypto::createProvider("instrumented")->bnEngine().limbBits(),
-        32u);
-    EXPECT_EQ(
-        crypto::createProvider("pipelined")->bnEngine().limbBits(), 32u);
-    EXPECT_EQ(crypto::createProvider("fast")->bnEngine().limbBits(),
-              64u);
-}
-
-TEST(ProviderRegistry, UnknownNameThrows)
-{
-    EXPECT_THROW(crypto::createProvider("hardware"),
-                 std::invalid_argument);
-    EXPECT_THROW(crypto::createProvider(""), std::invalid_argument);
+    // Both shipped providers pin the bn32 Table 7/8 profiling anchor.
+    EXPECT_EQ(crypto::scalarProvider().bnEngine().limbBits(), 32u);
+    EXPECT_EQ(crypto::defaultProvider().bnEngine().limbBits(), 32u);
 }
 
 TEST(ProviderRegistry, DefaultIsInstrumentedScalar)
@@ -80,16 +31,9 @@ TEST(ProviderRegistry, DefaultIsInstrumentedScalar)
     EXPECT_STREQ(crypto::scalarProvider().name(), "scalar");
 }
 
-TEST(ProviderRegistry, PipelinedFlagOnlyOnEngine)
-{
-    EXPECT_FALSE(crypto::createProvider("scalar")->pipelined());
-    EXPECT_FALSE(crypto::createProvider("instrumented")->pipelined());
-    EXPECT_TRUE(crypto::createProvider("pipelined")->pipelined());
-}
-
 TEST(InstrumentedProvider, ProbeCountsMatchOperations)
 {
-    auto instrumented = crypto::createProvider("instrumented");
+    crypto::InstrumentedProvider instrumented(crypto::scalarProvider());
     Xoshiro256 rng(11);
     Bytes key = rng.bytes(16);
     Bytes iv = rng.bytes(16);
@@ -100,16 +44,16 @@ TEST(InstrumentedProvider, ProbeCountsMatchOperations)
     perf::PerfContext ctx;
     {
         perf::ContextScope scope(&ctx);
-        auto enc = instrumented->createCipher(crypto::CipherAlg::Aes128Cbc,
-                                              key, iv, true);
-        auto dec = instrumented->createCipher(crypto::CipherAlg::Aes128Cbc,
-                                              key, iv, false);
+        auto enc = instrumented.createCipher(crypto::CipherAlg::Aes128Cbc,
+                                             key, iv, true);
+        auto dec = instrumented.createCipher(crypto::CipherAlg::Aes128Cbc,
+                                             key, iv, false);
         for (int i = 0; i < 3; ++i)
             enc->process(data.data(), data.data(), data.size());
         dec->process(data.data(), data.data(), data.size());
         uint8_t mac[crypto::maxRecordMacLen];
         for (int i = 0; i < 5; ++i)
-            instrumented->recordMac(spec, i, 23, ConstSpan{data}, mac);
+            instrumented.recordMac(spec, i, 23, ConstSpan{data}, mac);
     }
 
     const auto &counters = ctx.counters();
@@ -125,7 +69,7 @@ TEST(InstrumentedProvider, ProbeCountsMatchOperations)
 
 TEST(InstrumentedProvider, OutputsMatchScalarKernels)
 {
-    auto instrumented = crypto::createProvider("instrumented");
+    crypto::InstrumentedProvider instrumented(crypto::scalarProvider());
     crypto::Provider &scalar = crypto::scalarProvider();
     Xoshiro256 rng(12);
     Bytes key = rng.bytes(16);
@@ -133,7 +77,7 @@ TEST(InstrumentedProvider, OutputsMatchScalarKernels)
     Bytes data = rng.bytes(160);
 
     Bytes a = data, b = data;
-    instrumented->createCipher(crypto::CipherAlg::Aes128Cbc, key, iv, true)
+    instrumented.createCipher(crypto::CipherAlg::Aes128Cbc, key, iv, true)
         ->process(a.data(), a.data(), a.size());
     scalar.createCipher(crypto::CipherAlg::Aes128Cbc, key, iv, true)
         ->process(b.data(), b.data(), b.size());
@@ -145,162 +89,13 @@ TEST(InstrumentedProvider, OutputsMatchScalarKernels)
         uint8_t mac_a[crypto::maxRecordMacLen];
         uint8_t mac_b[crypto::maxRecordMacLen];
         size_t len_a =
-            instrumented->recordMac(spec, 7, 23, ConstSpan{data}, mac_a);
+            instrumented.recordMac(spec, 7, 23, ConstSpan{data}, mac_a);
         size_t len_b =
             scalar.recordMac(spec, 7, 23, ConstSpan{data}, mac_b);
         ASSERT_EQ(len_a, len_b) << "version " << version;
         EXPECT_EQ(Bytes(mac_a, mac_a + len_a), Bytes(mac_b, mac_b + len_b))
             << "version " << version;
     }
-}
-
-TEST(PipelinedProvider, SubmittedMacMatchesSynchronous)
-{
-    crypto::PipelinedProvider engine;
-    Xoshiro256 rng(13);
-    Bytes data = rng.bytes(1000);
-    for (uint16_t version : {ssl3Version, tls1Version}) {
-        crypto::RecordMacSpec spec{crypto::DigestAlg::SHA1,
-                                   rng.bytes(20), version};
-        uint8_t sync[crypto::maxRecordMacLen];
-        size_t sync_len =
-            engine.recordMac(spec, 3, 23, ConstSpan{data}, sync);
-        uint8_t async_mac[crypto::maxRecordMacLen];
-        crypto::MacJob job = engine.submitRecordMac(
-            spec, 3, 23, ConstSpan{data}, async_mac);
-        size_t async_len = job.wait();
-        ASSERT_EQ(async_len, sync_len) << "version " << version;
-        EXPECT_EQ(Bytes(async_mac, async_mac + async_len),
-                  Bytes(sync, sync + sync_len))
-            << "version " << version;
-        uint8_t ref[crypto::maxRecordMacLen];
-        size_t ref_len = crypto::scalarProvider().recordMac(
-            spec, 3, 23, ConstSpan{data}, ref);
-        ASSERT_EQ(ref_len, sync_len);
-        EXPECT_EQ(Bytes(ref, ref + ref_len), Bytes(sync, sync + sync_len));
-    }
-}
-
-/** Deterministic payload distinct per length. */
-Bytes
-deterministicPayload(size_t len)
-{
-    Xoshiro256 rng(len * 2654435761u);
-    return rng.bytes(len);
-}
-
-/** Two sender layers armed with identical keys, one per provider. */
-struct DualSender
-{
-    crypto::PipelinedProvider engine;
-    BioPair scalarWires, pipeWires;
-    RecordLayer scalarSender{scalarWires.clientEnd(),
-                             &crypto::scalarProvider()};
-    RecordLayer pipeSender{pipeWires.clientEnd(), &engine};
-
-    void
-    arm(CipherSuiteId id, uint64_t seed = 21)
-    {
-        const CipherSuite &suite = cipherSuite(id);
-        Xoshiro256 rng(seed);
-        Bytes mac = rng.bytes(suite.macLen());
-        Bytes key = rng.bytes(suite.keyLen());
-        Bytes iv = rng.bytes(suite.ivLen());
-        scalarSender.enableSendCipher(suite, mac, key, iv);
-        pipeSender.enableSendCipher(suite, mac, key, iv);
-    }
-};
-
-TEST(PipelinedProvider, WireIdenticalToScalarAcrossSuites)
-{
-    for (CipherSuiteId id : {CipherSuiteId::RSA_3DES_EDE_CBC_SHA,
-                             CipherSuiteId::RSA_AES_128_CBC_SHA,
-                             CipherSuiteId::RSA_RC4_128_SHA}) {
-        DualSender d;
-        d.arm(id);
-        // Several sends so CBC chaining and sequence numbers advance
-        // through the pipelined path; sizes cross fragment boundaries.
-        for (size_t len : {100u, 16384u, 16385u, 40000u}) {
-            Bytes payload = deterministicPayload(len);
-            d.scalarSender.send(ContentType::ApplicationData, payload);
-            d.pipeSender.send(ContentType::ApplicationData, payload);
-            EXPECT_EQ(drainWire(d.scalarWires.serverEnd()),
-                      drainWire(d.pipeWires.serverEnd()))
-                << "suite " << static_cast<int>(id) << " len " << len;
-        }
-    }
-}
-
-TEST(PipelinedProvider, RecordLayerRoundTripWithInterleavedCcs)
-{
-    crypto::PipelinedProvider engine;
-    BioPair wires;
-    RecordLayer client(wires.clientEnd(), &engine);
-    RecordLayer server(wires.serverEnd());
-
-    const CipherSuite &suite =
-        cipherSuite(CipherSuiteId::RSA_AES_128_CBC_SHA);
-    Xoshiro256 rng(31);
-
-    auto rekey = [&](uint64_t seed) {
-        Xoshiro256 keys(seed);
-        Bytes mac = keys.bytes(suite.macLen());
-        Bytes key = keys.bytes(suite.keyLen());
-        Bytes iv = keys.bytes(suite.ivLen());
-        client.send(ContentType::ChangeCipherSpec, Bytes{1});
-        auto ccs = server.receive();
-        ASSERT_TRUE(ccs);
-        ASSERT_EQ(ccs->type, ContentType::ChangeCipherSpec);
-        client.enableSendCipher(suite, mac, key, iv);
-        server.enableRecvCipher(suite, mac, key, iv);
-    };
-
-    auto roundTrip = [&](size_t len) {
-        Bytes payload = rng.bytes(len);
-        client.send(ContentType::ApplicationData, payload);
-        Bytes got;
-        while (got.size() < len) {
-            auto rec = server.receive();
-            ASSERT_TRUE(rec) << "len " << len;
-            EXPECT_EQ(rec->type, ContentType::ApplicationData);
-            append(got, rec->payload);
-        }
-        EXPECT_EQ(got, payload) << "len " << len;
-        EXPECT_FALSE(server.receive());
-    };
-
-    rekey(100);
-    // Fragment boundaries: exactly one full record, then one byte over
-    // (the smallest payload that takes the overlapped path).
-    roundTrip(16384);
-    roundTrip(16385);
-    roundTrip(100000);
-
-    // A second ChangeCipherSpec mid-stream re-keys both directions;
-    // the engine must keep working across the state switch.
-    rekey(200);
-    roundTrip(16385);
-    roundTrip(50000);
-}
-
-TEST(PipelinedProvider, SendManyGathersLikeConcatenatedSend)
-{
-    DualSender d;
-    d.arm(CipherSuiteId::RSA_AES_128_CBC_SHA, 41);
-
-    Xoshiro256 rng(42);
-    std::vector<Bytes> chunks;
-    Bytes concat;
-    // Chunk sizes chosen so fragments straddle buffer boundaries.
-    for (size_t len : {5000u, 16000u, 1u, 0u, 30000u, 777u}) {
-        chunks.push_back(rng.bytes(len));
-        append(concat, chunks.back());
-    }
-
-    d.scalarSender.send(ContentType::ApplicationData, concat);
-    d.pipeSender.sendMany(ContentType::ApplicationData, chunks);
-    EXPECT_EQ(drainWire(d.scalarWires.serverEnd()),
-              drainWire(d.pipeWires.serverEnd()));
 }
 
 } // anonymous namespace

@@ -279,6 +279,76 @@ TEST(Record, SpanPathFragmentationBoundary)
     }
 }
 
+TEST(Record, SendManyGathersLikeConcatenatedSend)
+{
+    // Identically keyed senders: one gathers six slices (fragments
+    // straddle slice boundaries; a 1-byte and a 0-byte slice sit
+    // mid-vector), the other sends their concatenation. The wires
+    // must match byte for byte.
+    RecordHarness gathered, concatenated;
+    gathered.arm(CipherSuiteId::RSA_AES_128_CBC_SHA, 41);
+    concatenated.arm(CipherSuiteId::RSA_AES_128_CBC_SHA, 41);
+
+    Xoshiro256 rng(42);
+    std::vector<Bytes> chunks;
+    Bytes concat;
+    for (size_t len : {5000u, 16000u, 1u, 0u, 30000u, 777u}) {
+        chunks.push_back(rng.bytes(len));
+        append(concat, chunks.back());
+    }
+    gathered.client.sendMany(ContentType::ApplicationData, chunks);
+    concatenated.client.send(ContentType::ApplicationData, concat);
+
+    auto drain = [](BioEndpoint end) {
+        Bytes wire(end.available());
+        end.read(wire.data(), wire.size());
+        return wire;
+    };
+    EXPECT_EQ(drain(gathered.wires.serverEnd()),
+              drain(concatenated.wires.serverEnd()));
+}
+
+TEST(Record, RoundTripWithInterleavedCcs)
+{
+    // Bulk round trips across fragment boundaries, then a second
+    // ChangeCipherSpec mid-stream re-keys the channel and traffic
+    // must keep flowing under the new keys.
+    RecordHarness h;
+    Xoshiro256 rng(31);
+
+    auto rekey = [&](uint64_t seed) {
+        h.client.send(ContentType::ChangeCipherSpec, Bytes{1});
+        auto ccs = h.server.receive();
+        ASSERT_TRUE(ccs);
+        ASSERT_EQ(ccs->type, ContentType::ChangeCipherSpec);
+        h.arm(CipherSuiteId::RSA_AES_128_CBC_SHA, seed);
+    };
+
+    auto roundTrip = [&](size_t len) {
+        Bytes payload = rng.bytes(len);
+        h.client.send(ContentType::ApplicationData, payload);
+        Bytes got;
+        while (got.size() < len) {
+            auto rec = h.server.receive();
+            ASSERT_TRUE(rec) << "len " << len;
+            EXPECT_EQ(rec->type, ContentType::ApplicationData);
+            append(got, rec->payload);
+        }
+        EXPECT_EQ(got, payload) << "len " << len;
+        EXPECT_FALSE(h.server.receive());
+    };
+
+    rekey(100);
+    // Exactly one full record, one byte over, then many records.
+    roundTrip(maxFragment);
+    roundTrip(maxFragment + 1);
+    roundTrip(100000);
+
+    rekey(200);
+    roundTrip(maxFragment + 1);
+    roundTrip(50000);
+}
+
 TEST(Record, SendManyWouldBlockMidVectorQueuesWholeRecords)
 {
     // Bulk gather-send against a capped transport: when maxBuffered

@@ -4,6 +4,8 @@
  * kernel model and workload aggregation.
  */
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hh"
@@ -108,11 +110,22 @@ TEST_F(WebSimTest, TransactionCompletes)
 
 TEST_F(WebSimTest, PublicKeyDominatesSmallTransfers)
 {
-    TransactionStats s = sim().runTransaction(1024);
-    // Figure 2's headline: RSA dominates the crypto cost at 1 KB.
-    EXPECT_GT(s.cryptoPublic, s.cryptoPrivate);
-    EXPECT_GT(s.cryptoPublic, s.cryptoHash);
-    EXPECT_GT(static_cast<double>(s.cryptoPublic), 0.5 * s.cryptoTotal);
+    // Figure 2's headline: RSA dominates the crypto cost at 1 KB. One
+    // preempted sample can flip a cycle comparison, so compare the
+    // per-component minima over several transactions.
+    TransactionStats m = sim().runTransaction(1024);
+    for (int i = 1; i < 5; ++i) {
+        TransactionStats s = sim().runTransaction(1024);
+        m.cryptoPublic = std::min(m.cryptoPublic, s.cryptoPublic);
+        m.cryptoPrivate = std::min(m.cryptoPrivate, s.cryptoPrivate);
+        m.cryptoHash = std::min(m.cryptoHash, s.cryptoHash);
+        m.cryptoOther = std::min(m.cryptoOther, s.cryptoOther);
+    }
+    uint64_t total =
+        m.cryptoPublic + m.cryptoPrivate + m.cryptoHash + m.cryptoOther;
+    EXPECT_GT(m.cryptoPublic, m.cryptoPrivate);
+    EXPECT_GT(m.cryptoPublic, m.cryptoHash);
+    EXPECT_GT(static_cast<double>(m.cryptoPublic), 0.5 * total);
 }
 
 TEST_F(WebSimTest, PrivateKeyShareGrowsWithFileSize)

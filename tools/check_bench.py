@@ -38,15 +38,6 @@ import sys
 # component of "*" fans out over every element of a list, which must be
 # non-empty.
 SCHEMAS = {
-    "engine_pipeline": {
-        "gates": ["all_wire_identical", "overlap_win_demonstrated"],
-        "required": [
-            "cycle_hz",
-            "results.*.cpu_ratio",
-            "results.*.scalar.cpu_cycles_per_byte",
-            "results.*.pipelined.cpu_cycles_per_byte",
-        ],
-    },
     "serve_scale": {
         "gates": ["all_completed"],
         "required": [
