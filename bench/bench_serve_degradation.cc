@@ -22,8 +22,8 @@
  *
  * --trace FILE additionally runs a small fully-sampled faulted
  * workload with per-session tracing on and writes the Chrome
- * trace_event JSON — the analyzer's chaos corpus (ssla_analyze, or
- * tools/validate_trace.py in CI).
+ * trace_event JSON — the analyzer's chaos corpus (ssla_analyze, which
+ * CI runs on it).
  */
 
 #include <cstdio>

@@ -37,8 +37,8 @@
  * --trace FILE additionally runs a small fully-sampled overloaded
  * workload (Adaptive admission, saturated pool, abandonment deadline)
  * with per-session tracing on and writes the Chrome trace_event JSON —
- * the analyzer's overload corpus (ssla_analyze's queue_delay pass, or
- * tools/validate_trace.py in CI).
+ * the analyzer's overload corpus (ssla_analyze's queue_delay pass; CI
+ * also checks its shape and the report's determinism).
  */
 
 #include <algorithm>

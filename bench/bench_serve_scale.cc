@@ -23,7 +23,8 @@
  *
  * --trace FILE additionally runs a small fully-sampled workload with
  * per-session tracing on and writes the Chrome trace_event JSON (load
- * it in Perfetto, or feed it to tools/validate_trace.py in CI).
+ * it in Perfetto, or feed it to tools/ssla_analyze, which validates
+ * it, in CI).
  */
 
 #include <algorithm>

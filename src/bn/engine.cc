@@ -109,22 +109,6 @@ bn64Engine()
     return engine;
 }
 
-const Engine *
-engineByName(std::string_view name)
-{
-    if (name == "bn32")
-        return &bn32Engine();
-    if (name == "bn64")
-        return &bn64Engine();
-    return nullptr;
-}
-
-std::vector<std::string>
-engineNames()
-{
-    return {"bn32", "bn64"};
-}
-
 const Engine &
 activeEngine()
 {

@@ -6,10 +6,10 @@
  * anchor — its kernel anatomy matches OpenSSL 0.9.7d on the Pentium 4,
  * so Tables 8/9 reproduce on it. The 64-bit engine (kernels64.hh) is
  * the modern counterpart: 128-bit intermediates and Karatsuba above a
- * tuned threshold. `Engine` makes the choice a runtime property,
- * mirroring the crypto::Provider registry pattern: call sites keep
- * saying modExp/mul/sqr, and the provider (or an EngineScope in a
- * bench/test) decides which arithmetic runs underneath.
+ * tuned threshold. `Engine` makes the choice a runtime property: call
+ * sites keep saying modExp/mul/sqr, and the provider (or an
+ * EngineScope in a bench/test) decides which arithmetic runs
+ * underneath. bn32Engine()/bn64Engine() are the only way to name one.
  *
  * Selection is thread-local and defaults to bn32, so existing code —
  * the whole paper reproduction included — behaves exactly as before
@@ -19,10 +19,6 @@
 
 #ifndef SSLA_BN_ENGINE_HH
 #define SSLA_BN_ENGINE_HH
-
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "bn/bignum.hh"
 
@@ -72,12 +68,6 @@ const Engine &bn32Engine();
 
 /** The 64-bit/Karatsuba engine ("bn64"). */
 const Engine &bn64Engine();
-
-/** Look up an engine by registry name; nullptr when unknown. */
-const Engine *engineByName(std::string_view name);
-
-/** Registry names, in registration order: {"bn32", "bn64"}. */
-std::vector<std::string> engineNames();
 
 /**
  * The calling thread's active engine (bn32 unless overridden). The

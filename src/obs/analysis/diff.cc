@@ -8,6 +8,91 @@ namespace ssla::obs::analysis
 namespace
 {
 
+/** Gate and required paths for one bench id. */
+struct BenchSchema
+{
+    std::string_view bench;
+    std::vector<std::string_view> gates;
+    std::vector<std::string_view> required;
+};
+
+const BenchSchema kSchemas[] = {
+    {"serve_scale",
+     {"all_completed"},
+     {"results.*.full_handshakes", "results.*.elapsed_sec",
+      "results.*.bulk_mb_per_sec", "metrics_overhead.overhead_ratio"}},
+    // The results array mixes per-rate cells with per-mode summary rows
+    // (monotone_goodput), so only the shared key is required.
+    {"serve_degradation",
+     {"all_accounted", "clean_baseline_ok"},
+     {"results.*.pool_mode"}},
+    // Gated by its exit code on per-cell wire identity; the artifact
+    // exposes the per-cell flag.
+    {"kx_matrix",
+     {},
+     {"cells.*.wire_identical", "cells.*.layers_kc.total"}},
+    {"bn_backend",
+     {"gate.pass", "gate.rsa_identical", "gate.dh_identical",
+      "gate.modexp_identical", "gate.bn64_faster"},
+     {"cycle_hz", "modexp.*.bits", "modexp.*.bn32_ms", "modexp.*.bn64_ms",
+      "modexp.*.speedup", "profiles.*.backend",
+      "profiles.*.rows.*.function", "profiles.*.rows.*.pct"}},
+    {"serve_overload",
+     {"gate.pass", "gate.adaptive_goodput_wins", "gate.no_hung_sessions",
+      "gate.all_accounted"},
+     {"rsa_op_ms", "abandon_ms", "results.*.policy",
+      "results.*.goodput_per_sec", "results.*.goodput_fraction",
+      "results.*.hs_p99_us", "results.*.wasted_work_fraction",
+      "chaos.*.thread_restarts", "chaos.*.hung_sessions"}},
+    {"serve_throughput",
+     {"gate.pass", "gate.wire_identical", "gate.steady_state_zero",
+      "gate.engine_completed"},
+     {"results.*.record_layer.records_per_sec",
+      "results.*.record_layer.mb_per_sec",
+      "results.*.serve_engine.records_per_sec_per_worker",
+      "results.*.serve_engine.mb_per_sec_per_worker",
+      "steady_state.*.scratch_grows", "steady_state.*.pending_spills",
+      "wire_identity.*.identical"}},
+};
+
+/**
+ * Every value at dotted @p path, a "*" component fanning out over a
+ * non-empty array. Returns false with @p err set when a step is absent.
+ */
+bool
+resolve(const Json &doc, std::string_view path,
+        std::vector<const Json *> &out, std::string &err)
+{
+    out = {&doc};
+    size_t pos = 0;
+    for (;;) {
+        const size_t dot = path.find('.', pos);
+        const std::string_view part = path.substr(
+            pos, dot == std::string_view::npos ? dot : dot - pos);
+        std::vector<const Json *> next;
+        for (const Json *node : out) {
+            if (part == "*") {
+                if (!node->isArray() || node->arr.empty()) {
+                    err = std::string(path) + ": expected non-empty list";
+                    return false;
+                }
+                for (const Json &elem : node->arr)
+                    next.push_back(&elem);
+            } else if (const Json *child = node->find(part)) {
+                next.push_back(child);
+            } else {
+                err = std::string(path) + ": missing '" +
+                      std::string(part) + "'";
+                return false;
+            }
+        }
+        out = std::move(next);
+        if (dot == std::string_view::npos)
+            return true;
+        pos = dot + 1;
+    }
+}
+
 struct DiffWalk
 {
     double maxDeltaPct;
@@ -131,6 +216,56 @@ struct DiffWalk
 };
 
 } // anonymous namespace
+
+std::vector<std::string>
+checkBench(std::string_view text)
+{
+    Json doc;
+    try {
+        doc = parseJson(text);
+    } catch (const JsonError &e) {
+        return {std::string("invalid JSON: ") + e.what()};
+    }
+    const std::string *bench = doc.findString("bench");
+    const BenchSchema *schema = nullptr;
+    for (const BenchSchema &sc : kSchemas)
+        if (bench && sc.bench == *bench)
+            schema = &sc;
+    if (!schema)
+        return {"unknown bench id " +
+                (bench ? "\"" + *bench + "\"" : std::string("(none)"))};
+
+    std::vector<std::string> defects;
+    std::vector<const Json *> values;
+    std::string err;
+    for (std::string_view gate : schema->gates) {
+        if (!resolve(doc, gate, values, err)) {
+            defects.push_back("gate " + err);
+            continue;
+        }
+        for (const Json *v : values) {
+            if (!v->isBool())
+                defects.push_back("gate " + std::string(gate) +
+                                  " is not a bool");
+            else if (!v->b)
+                defects.push_back("gate " + std::string(gate) +
+                                  " is false");
+        }
+    }
+    for (std::string_view req : schema->required) {
+        if (!resolve(doc, req, values, err)) {
+            defects.push_back(err);
+            continue;
+        }
+        for (const Json *v : values)
+            if (v->isNumber() && !std::isfinite(v->number())) {
+                defects.push_back(std::string(req) +
+                                  ": non-finite number");
+                break;
+            }
+    }
+    return defects;
+}
 
 DiffResult
 diffBench(const Json &oldDoc, const Json &newDoc, double maxDeltaPct,

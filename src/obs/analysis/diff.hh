@@ -1,8 +1,19 @@
 /**
  * @file
- * Bench regression diff: compare two BENCH_*.json artifacts.
+ * Every rule for BENCH_*.json artifacts: the per-bench schema check
+ * (ssla_analyze --check) and the regression diff of two runs
+ * (ssla_analyze --diff).
  *
- * Rules (shared, by specification, with tools/check_bench.py --diff):
+ * Check rules, per the schema the document's "bench" field selects:
+ *  - an unknown bench id is an error,
+ *  - every gate path is present, bool-typed and true,
+ *  - every required path is present, a "*" component fanning out over
+ *    a non-empty array,
+ *  - numeric leaves of required paths are finite (the parser already
+ *    rejects NaN/Infinity literals; an overflowing exponent still
+ *    reads as infinity).
+ *
+ * Diff rules:
  *  - a boolean that was true in the old run and false in the new one is
  *    a GATE REGRESSION (fatal),
  *  - a path present in the old run but missing from the new one is
@@ -16,11 +27,22 @@
 #ifndef SSLA_OBS_ANALYSIS_DIFF_HH
 #define SSLA_OBS_ANALYSIS_DIFF_HH
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "obs/analysis/json.hh"
 #include "obs/analysis/pass.hh"
 
 namespace ssla::obs::analysis
 {
+
+/**
+ * Parse one bench artifact and check it against its schema.
+ * @return one line per defect (a parse error is one); empty when the
+ *         artifact passes
+ */
+std::vector<std::string> checkBench(std::string_view text);
 
 struct DiffResult
 {

@@ -13,10 +13,7 @@ namespace
 class Parser
 {
   public:
-    Parser(std::string_view text, size_t lineBase)
-        : text_(text), lineBase_(lineBase)
-    {
-    }
+    explicit Parser(std::string_view text) : text_(text) {}
 
     Json
     parseDocument()
@@ -32,7 +29,7 @@ class Parser
     [[noreturn]] void
     fail(const std::string &msg) const
     {
-        throw JsonError(msg, lineBase_ + line_, pos_ - lineStart_ + 1);
+        throw JsonError(msg, line_, pos_ - lineStart_ + 1);
     }
 
     void
@@ -317,7 +314,6 @@ class Parser
     }
 
     std::string_view text_;
-    size_t lineBase_;
     size_t pos_ = 0;
     size_t line_ = 1;
     size_t lineStart_ = 0;
@@ -326,9 +322,9 @@ class Parser
 } // anonymous namespace
 
 Json
-parseJson(std::string_view text, size_t lineBase)
+parseJson(std::string_view text)
 {
-    return Parser(text, lineBase).parseDocument();
+    return Parser(text).parseDocument();
 }
 
 } // namespace ssla::obs::analysis

@@ -151,11 +151,9 @@ class Json
  * Parse exactly one JSON document from @p text (trailing whitespace
  * allowed, anything else is an error).
  *
- * @param lineBase added to reported line numbers, for callers parsing
- *        one line out of a larger JSONL stream
  * @throws JsonError on malformed input
  */
-Json parseJson(std::string_view text, size_t lineBase = 0);
+Json parseJson(std::string_view text);
 
 } // namespace ssla::obs::analysis
 

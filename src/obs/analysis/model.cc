@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <tuple>
 
 namespace ssla::obs::analysis
 {
@@ -39,21 +40,25 @@ splitName(const std::string &name, std::string &kind,
 
 using SessionKey = std::pair<uint32_t, uint64_t>; // (track, serial)
 
-Corpus
-finalize(std::map<SessionKey, SessionRecord> &records,
-         const char *format, const char *unit)
+/** Key text for a pid or async id; empty unless a number or string. */
+std::string
+scalarKey(const Json &v)
 {
-    Corpus corpus;
-    corpus.format = format;
-    corpus.timeUnit = unit;
-    corpus.sessions.reserve(records.size());
-    for (auto &[key, rec] : records) {
-        std::stable_sort(rec.events.begin(), rec.events.end(),
-                         [](const AnalysisEvent &a,
-                            const AnalysisEvent &b) { return a.t < b.t; });
-        corpus.sessions.push_back(std::move(rec));
+    switch (v.type) {
+    case Json::Type::Int: return std::to_string(v.i);
+    case Json::Type::Uint: return std::to_string(v.u);
+    case Json::Type::Double: return std::to_string(v.d);
+    case Json::Type::String: return '"' + v.str + '"';
+    default: return {};
     }
-    return corpus;
+}
+
+std::string
+fmtTs(double ts)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.3f", ts);
+    return buf;
 }
 
 } // anonymous namespace
@@ -77,234 +82,146 @@ readFileOrThrow(const std::string &path)
 }
 
 // ---------------------------------------------------------------------
-// JSONL ingest
-
-Corpus
-ingestJsonl(std::string_view text)
-{
-    std::map<SessionKey, SessionRecord> records;
-
-    size_t lineNo = 0;
-    size_t pos = 0;
-    while (pos <= text.size()) {
-        size_t eol = text.find('\n', pos);
-        std::string_view line = text.substr(
-            pos, eol == std::string_view::npos ? std::string_view::npos
-                                               : eol - pos);
-        ++lineNo;
-        pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-        if (line.find_first_not_of(" \t\r") == std::string_view::npos)
-            continue;
-
-        Json obj;
-        try {
-            obj = parseJson(line, lineNo - 1);
-        } catch (const JsonError &e) {
-            throw IngestError("jsonl " + std::string(e.what()));
-        }
-        if (!obj.isObject())
-            throw IngestError("jsonl line " + std::to_string(lineNo) +
-                              ": expected an object per line");
-
-        const Json *serialV = obj.find("serial");
-        if (!serialV || !serialV->isNumber())
-            throw IngestError("jsonl line " + std::to_string(lineNo) +
-                              ": missing numeric 'serial'");
-        const uint64_t serial = serialV->asU64();
-
-        const Json *summary = obj.find("summary");
-        if (summary && summary->isBool() && summary->b) {
-            // Trailer line: outcome + accounting for the trace whose
-            // events preceded it. The serial alone can be ambiguous
-            // (worker-0 session n vs crypto track n), so it attaches
-            // to the still-open record with that serial.
-            SessionRecord *target = nullptr;
-            for (auto &[key, rec] : records)
-                if (key.second == serial &&
-                    (!target || rec.outcome == "open"))
-                    if (rec.outcome == "open" || !target)
-                        target = &rec;
-            if (!target)
-                throw IngestError(
-                    "jsonl line " + std::to_string(lineNo) +
-                    ": summary for serial " + std::to_string(serial) +
-                    " with no preceding events");
-            if (const std::string *oc = obj.findString("outcome"))
-                target->outcome = *oc;
-            target->dropped = obj.findU64("dropped");
-            continue;
-        }
-
-        const Json *trackV = obj.find("track");
-        const std::string *kind = obj.findString("kind");
-        const std::string *side = obj.findString("side");
-        const Json *cyclesV = obj.find("cycles");
-        if (!trackV || !trackV->isNumber())
-            throw IngestError("jsonl line " + std::to_string(lineNo) +
-                              ": missing numeric 'track'");
-        if (!kind)
-            throw IngestError("jsonl line " + std::to_string(lineNo) +
-                              ": missing 'kind'");
-        if (!side)
-            throw IngestError("jsonl line " + std::to_string(lineNo) +
-                              ": missing 'side'");
-        if (!cyclesV || !cyclesV->isNumber())
-            throw IngestError("jsonl line " + std::to_string(lineNo) +
-                              ": missing numeric 'cycles'");
-
-        const uint32_t track =
-            static_cast<uint32_t>(trackV->asU64());
-        SessionRecord &rec = records[{track, serial}];
-        rec.serial = serial;
-        rec.track = track;
-
-        AnalysisEvent ev;
-        ev.t = static_cast<double>(cyclesV->asU64());
-        ev.tick = obj.findU64("tick");
-        ev.kind = *kind;
-        ev.side = *side;
-        ev.code = static_cast<uint16_t>(obj.findU64("code"));
-        ev.arg = obj.findU64("arg");
-        ev.argT = static_cast<double>(ev.arg);
-        if (const std::string *label = obj.findString("label"))
-            ev.label = *label;
-        if (const std::string *txt = obj.findString("text"))
-            ev.text = *txt;
-        rec.events.push_back(std::move(ev));
-    }
-
-    return finalize(records, "jsonl", "cycles");
-}
-
-// ---------------------------------------------------------------------
 // Chrome trace ingest
 
 Corpus
 ingestChrome(const Json &doc)
 {
     const Json *events = doc.find("traceEvents");
-    if (!doc.isObject() || !events || !events->isArray())
+    if (!events || !events->isArray())
         throw IngestError(
             "chrome trace: root must be an object with a "
             "'traceEvents' array");
+    if (events->arr.empty())
+        throw IngestError("chrome trace: traceEvents is empty");
 
     std::map<SessionKey, SessionRecord> records;
+    // (pid, tid) -> latest ts; (pid, cat, id) -> unclosed "b" count.
+    std::map<std::pair<std::string, uint64_t>, double> lastTs;
+    std::map<std::tuple<std::string, std::string, std::string>, size_t>
+        openAsync;
 
-    auto recordFor = [&](const Json &ev, const Json *args,
-                         size_t index) -> SessionRecord & {
-        const Json *tidV = ev.find("tid");
-        if (!tidV || !tidV->isNumber())
-            throw IngestError("chrome trace event " +
-                              std::to_string(index) +
-                              ": missing numeric 'tid'");
-        const uint64_t tid = tidV->asU64();
-        const uint32_t track = static_cast<uint32_t>(tid / 8);
-        uint64_t serial;
-        if (args && args->find("serial") &&
-            args->find("serial")->isNumber()) {
-            serial = args->findU64("serial");
-        } else {
-            // Pre-serial-stamp exporter: fall back to one synthetic
-            // session per export track (bit 63 marks it synthetic so
-            // it can never collide with an engine serial).
-            serial = (1ull << 63) | tid;
-        }
-        SessionRecord &rec = records[{track, serial}];
-        rec.serial = serial;
-        rec.track = track;
-        return rec;
-    };
-
-    size_t index = 0;
-    for (const Json &ev : events->arr) {
-        const size_t where = index++;
+    for (size_t index = 0; index < events->arr.size(); ++index) {
+        const Json &ev = events->arr[index];
+        std::string where = "chrome trace event " + std::to_string(index);
+        auto fail = [&](const std::string &defect) {
+            return IngestError(where + ": " + defect);
+        };
         if (!ev.isObject())
-            throw IngestError("chrome trace event " +
-                              std::to_string(where) +
-                              ": not an object");
+            throw fail("not an object");
         const std::string *ph = ev.findString("ph");
-        if (!ph)
-            throw IngestError("chrome trace event " +
-                              std::to_string(where) +
-                              ": missing 'ph'");
-        if (*ph == "M")
-            continue;
-
-        const Json *tsV = ev.find("ts");
         const std::string *name = ev.findString("name");
-        if (!tsV || !tsV->isNumber())
-            throw IngestError("chrome trace event " +
-                              std::to_string(where) +
-                              ": missing numeric 'ts'");
+        const Json *pidV = ev.find("pid");
+        if (!ph)
+            throw fail("missing string 'ph'");
         if (!name)
-            throw IngestError("chrome trace event " +
-                              std::to_string(where) +
-                              ": missing 'name'");
-        const double ts = tsV->number();
-        const Json *args = ev.find("args");
+            throw fail("missing string 'name'");
+        if (!pidV || scalarKey(*pidV).empty())
+            throw fail("missing numeric or string 'pid'");
+        if (*ph == "M")
+            continue; // metadata (track names) carries no timestamp
+        where += " (" + *ph + " '" + *name + "')";
 
-        if (*ph == "e")
-            continue; // carries no args; "b" opened the session
-        if (*ph == "b") {
-            SessionRecord &rec = recordFor(ev, args, where);
-            if (args) {
-                if (const std::string *oc = args->findString("outcome"))
-                    rec.outcome = *oc;
-                rec.dropped = args->findU64("dropped");
+        const Json *tidV = ev.find("tid");
+        const Json *tsV = ev.find("ts");
+        if (!tidV || !tidV->isNumber())
+            throw fail("missing numeric 'tid'");
+        if (!tsV || !tsV->isNumber())
+            throw fail("missing numeric 'ts'");
+        const std::string pid = scalarKey(*pidV);
+        const uint64_t tid = tidV->asU64();
+        const double ts = tsV->number();
+        if (ts < 0)
+            throw fail("negative ts " + fmtTs(ts));
+        // The exporter stable-sorts by ts, so an inversion is a bug.
+        auto [last, fresh] = lastTs.try_emplace({pid, tid}, ts);
+        if (!fresh && ts < last->second)
+            throw fail("ts " + fmtTs(ts) + " < previous " +
+                       fmtTs(last->second) + " on track (pid " + pid +
+                       ", tid " + std::to_string(tid) + ")");
+        last->second = ts;
+
+        const Json *args = ev.find("args");
+        const std::string *cat = ev.findString("cat");
+        if (*ph == "e" || *ph == "b") {
+            const Json *idV = ev.find("id");
+            if (!idV || scalarKey(*idV).empty())
+                throw fail("async event needs a numeric or string 'id'");
+            const auto key = std::make_tuple(pid, cat ? *cat : "",
+                                             scalarKey(*idV));
+            if (*ph == "e") {
+                auto open = openAsync.find(key);
+                if (open == openAsync.end() || open->second == 0)
+                    throw fail("'e' with no open 'b' for id " +
+                               std::get<2>(key));
+                --open->second;
+                continue; // carries no args; "b" opened the session
             }
+            ++openAsync[key];
+        } else if (*ph != "X" && *ph != "i") {
+            throw fail("unsupported phase '" + *ph + "'");
+        }
+
+        // Every "b"/"X"/"i" carries its trace's serial stamp, which
+        // regroups the flat event stream into sessions.
+        const Json *serialV = args ? args->find("serial") : nullptr;
+        if (!serialV || !(serialV->type == Json::Type::Uint ||
+                          (serialV->type == Json::Type::Int &&
+                           serialV->i >= 0)))
+            throw fail("needs a non-negative integer args.serial");
+        const uint32_t track = static_cast<uint32_t>(tid / 8);
+        SessionRecord &rec = records[{track, serialV->asU64()}];
+        rec.serial = serialV->asU64();
+        rec.track = track;
+
+        if (*ph == "b") {
+            const std::string *oc = args->findString("outcome");
+            if (cat && *cat == "session" && (!oc || oc->empty()))
+                throw fail("session 'b' needs a non-empty string "
+                           "args.outcome");
+            if (oc)
+                rec.outcome = *oc;
+            rec.dropped = args->findU64("dropped");
             continue;
         }
-        if (*ph != "X" && *ph != "i")
-            throw IngestError("chrome trace event " +
-                              std::to_string(where) +
-                              ": unsupported phase '" + *ph + "'");
-
-        SessionRecord &rec = recordFor(ev, args, where);
-        const uint64_t tid = ev.find("tid")->asU64();
 
         AnalysisEvent out;
         out.t = ts;
         out.side = sideNameFromIndex(tid % 8);
         splitName(*name, out.kind, out.label);
-        if (args) {
-            out.tick = args->findU64("tick");
-            out.code = static_cast<uint16_t>(args->findU64("code"));
-            out.arg = args->findU64("arg");
-            out.argT = args->findNumber(
-                "wait_us", static_cast<double>(out.arg));
-            if (const std::string *txt = args->findString("text"))
-                out.text = *txt;
-        }
+        out.tick = args->findU64("tick");
+        out.code = static_cast<uint16_t>(args->findU64("code"));
+        out.arg = args->findU64("arg");
+        out.argT =
+            args->findNumber("wait_us", static_cast<double>(out.arg));
+        if (const std::string *txt = args->findString("text"))
+            out.text = *txt;
 
         if (*ph == "X") {
             const Json *durV = ev.find("dur");
-            if (!durV || !durV->isNumber())
-                throw IngestError("chrome trace event " +
-                                  std::to_string(where) +
-                                  ": X span missing 'dur'");
-            const double dur = durV->number();
+            if (!durV || !durV->isNumber() || durV->number() < 0)
+                throw fail("X span needs dur >= 0");
             if (out.kind == "JobStart") {
-                // Re-split the service span into the begin/end pair
-                // the JSONL stream carries natively. An "unfinished"
-                // span (trace ended mid-job) gets no end event —
-                // matching the JSONL stream, which has no JobEnd
-                // either.
-                const std::string *oc0 =
-                    args ? args->findString("outcome") : nullptr;
-                if (oc0 && *oc0 == "unfinished") {
+                // Re-split the service span into its begin/end pair.
+                // An "unfinished" span (trace ended mid-job) gets no
+                // end event.
+                const std::string *oc = args->findString("outcome");
+                if (!oc || (*oc != "ok" && *oc != "error" &&
+                            *oc != "unfinished"))
+                    throw fail("JobStart span needs args.outcome in "
+                               "{ok,error,unfinished}");
+                if (*oc == "unfinished") {
                     rec.events.push_back(std::move(out));
                     continue;
                 }
                 AnalysisEvent end;
-                end.t = ts + dur;
+                end.t = ts + durV->number();
                 end.tick = out.tick;
                 end.kind = "JobEnd";
                 end.label = out.label;
                 end.side = out.side;
-                const std::string *oc =
-                    args ? args->findString("outcome") : nullptr;
-                end.code = (oc && *oc == "error") ? 1 : 0;
-                end.argT = dur;
+                end.code = *oc == "error" ? 1 : 0;
+                end.argT = durV->number();
                 rec.events.push_back(out);
                 rec.events.push_back(std::move(end));
                 continue;
@@ -316,26 +233,31 @@ ingestChrome(const Json &doc)
         rec.events.push_back(std::move(out));
     }
 
-    return finalize(records, "chrome", "us");
+    for (const auto &[key, depth] : openAsync)
+        if (depth > 0)
+            throw IngestError("chrome trace: async id " +
+                              std::get<2>(key) + ": " +
+                              std::to_string(depth) +
+                              " 'b' event(s) never closed");
+
+    Corpus corpus;
+    corpus.sessions.reserve(records.size());
+    for (auto &[key, rec] : records) {
+        std::stable_sort(rec.events.begin(), rec.events.end(),
+                         [](const AnalysisEvent &a,
+                            const AnalysisEvent &b) { return a.t < b.t; });
+        corpus.sessions.push_back(std::move(rec));
+    }
+    return corpus;
 }
 
 Corpus
 ingestTraceFile(const std::string &path)
 {
     const std::string text = readFileOrThrow(path);
-    // Sniff: a Chrome export is one JSON document whose root carries
-    // traceEvents; JSONL never parses as a single document (unless it
-    // is a single line, which then lacks traceEvents).
     try {
-        Json doc = parseJson(text);
-        if (doc.isObject() && doc.find("traceEvents"))
-            return ingestChrome(doc);
-    } catch (const JsonError &) {
-        // Not one document: treat as JSONL below.
-    }
-    try {
-        return ingestJsonl(text);
-    } catch (const IngestError &e) {
+        return ingestChrome(parseJson(text));
+    } catch (const std::runtime_error &e) { // JsonError or IngestError
         throw IngestError(path + ": " + e.what());
     }
 }

@@ -2,23 +2,19 @@
  * @file
  * Typed in-memory event graph the analysis passes run over.
  *
- * Both trace formats the obs layer emits normalize into the same
- * shape: a Corpus of SessionRecords (engine sessions on worker tracks,
- * crypto-pool/supervisor threads on control tracks >= cryptoTrackBase),
- * each an ordered list of AnalysisEvents — the parsed TraceEvent
- * fields plus the session's terminal outcome. Passes never look at
- * JSON; they walk this graph.
+ * The obs layer's one trace format, Chrome trace_event JSON
+ * (ChromeTraceCollector), normalizes into a Corpus of SessionRecords
+ * (engine sessions on worker tracks, crypto-pool/supervisor threads on
+ * control tracks >= cryptoTrackBase), each an ordered list of
+ * AnalysisEvents — the parsed TraceEvent fields plus the session's
+ * terminal outcome. The export carries "i" instants, "X" spans
+ * (StateEnter residency, JobStart..JobEnd service) and the session's
+ * async "b"/"e" pair, timestamped in microseconds; service spans are
+ * re-split into their begin/end instants. Passes never look at JSON;
+ * they walk this graph.
  *
- *  - JSONL (JsonlTraceSink): one object per event plus a summary line
- *    per trace; timestamps are raw cycle counts.
- *  - Chrome trace_event (ChromeTraceCollector): "i" instants, "X"
- *    spans (StateEnter residency, JobStart..JobEnd service) and the
- *    session's async "b"/"e" pair; timestamps are microseconds. Span
- *    events are re-split into their begin/end instants so the graph
- *    is format-independent.
- *
- * Ingest is strict: a malformed line or event fails with the line
- * number and reason (IngestError) rather than skipping silently — a
+ * Ingest is the trace validator: a malformed event fails with its
+ * index and the defect (IngestError) rather than being skipped — a
  * truncated trace should be debugged, not averaged over.
  */
 
@@ -39,7 +35,7 @@ namespace ssla::obs::analysis
 /** Track index at which crypto-pool threads start (obs contract). */
 constexpr uint32_t analysisCryptoTrackBase = 1000;
 
-/** Malformed trace input; message names the line and the defect. */
+/** Malformed trace input; message names the event and the defect. */
 class IngestError : public std::runtime_error
 {
   public:
@@ -49,15 +45,15 @@ class IngestError : public std::runtime_error
 /** One normalized trace event. */
 struct AnalysisEvent
 {
-    double t = 0.0;    ///< timestamp in Corpus::timeUnit units
+    double t = 0.0;    ///< timestamp, microseconds
     uint64_t tick = 0; ///< engine virtual tick (multiplexer sweep)
     std::string kind;  ///< TraceEventKind name ("Park", "JobStart"...)
     std::string label; ///< event label ("rsa_decrypt", "corrupt"...)
     std::string side;  ///< recording side ("server", "engine"...)
     uint16_t code = 0; ///< alert code / JobClass stamp / error flag
     uint64_t arg = 0;  ///< size / queue-wait / service cycles...
-    double argT = 0.0; ///< arg rescaled to Corpus::timeUnit (when arg
-                       ///< is a duration; equals arg for JSONL)
+    double argT = 0.0; ///< arg rescaled to microseconds (when arg is
+                       ///< a duration)
     std::string text;  ///< dynamic payload (log capture)
 };
 
@@ -96,10 +92,6 @@ struct Corpus
 {
     /** Sessions sorted by (track, serial); crypto tracks included. */
     std::vector<SessionRecord> sessions;
-    /** "cycles" (JSONL) or "us" (Chrome trace). */
-    std::string timeUnit = "cycles";
-    /** Source format: "jsonl" or "chrome". */
-    std::string format;
     /** Optional metrics snapshot (Prometheus text), name -> value. */
     std::map<std::string, double> metrics;
     /** Quantile series from the snapshot: name{quantile} -> value. */
@@ -127,25 +119,26 @@ struct Corpus
 };
 
 /**
- * Ingest a JSONL trace stream (JsonlTraceSink output).
- * @throws IngestError naming the offending line on malformed input
- */
-Corpus ingestJsonl(std::string_view text);
-
-/**
  * Ingest a Chrome trace_event JSON document (ChromeTraceCollector
- * output). Events are grouped per session by the exporter's
- * args.serial stamp; events predating that stamp fall back to one
- * synthetic session per export track.
- * @throws IngestError on malformed input
+ * output), validating its shape on the way in. Events are grouped per
+ * session by the exporter's args.serial stamp. Rejected:
+ *  - an empty traceEvents list;
+ *  - an event without name/ph/pid, or a non-metadata event without
+ *    tid/ts;
+ *  - a negative ts, or one below its (pid, tid) track's previous ts;
+ *  - an "X" span without dur >= 0;
+ *  - a "b"/"X"/"i" event without an integer args.serial;
+ *  - a JobStart span without args.outcome in {ok, error, unfinished};
+ *  - a "b"/"e" without an id, an "e" with no open "b" of the same
+ *    (pid, cat, id), and a "b" never closed;
+ *  - a session "b" without a non-empty string args.outcome.
+ * @throws IngestError naming the event and the defect
  */
 Corpus ingestChrome(const Json &doc);
 
 /**
- * Load a trace file, sniffing the format: a document whose root object
- * has a "traceEvents" member is Chrome JSON, anything else is treated
- * as JSONL.
- * @throws IngestError on unreadable or malformed input
+ * Load and ingestChrome() a trace file.
+ * @throws IngestError naming the path on unreadable or malformed input
  */
 Corpus ingestTraceFile(const std::string &path);
 

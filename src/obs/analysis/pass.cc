@@ -46,13 +46,11 @@ Report::render() const
 namespace
 {
 
-/** Format a duration in the corpus time unit. */
+/** Format a duration (microseconds). */
 std::string
-fmtT(double v, const Corpus &corpus)
+fmtT(double v)
 {
-    if (corpus.timeUnit == "us")
-        return strf("%.3f us", v);
-    return strf("%.0f %s", v, corpus.timeUnit.c_str());
+    return strf("%.3f us", v);
 }
 
 std::string
@@ -90,9 +88,6 @@ class SummaryPass final : public Pass
             ++outcomes[s.outcome];
             dropped += s.dropped;
         }
-        sec.lines.push_back(strf(
-            "format=%s time_unit=%s", corpus.format.c_str(),
-            corpus.timeUnit.c_str()));
         sec.lines.push_back(strf(
             "sessions=%zu crypto_tracks=%zu events=%zu dropped=%llu",
             corpus.sessionCount(), cryptoTracks, corpus.totalEvents(),
@@ -179,11 +174,11 @@ class CriticalPathPass final : public Pass
                          });
         sec.lines.push_back(
             strf("attributed wall clock across %zu sessions: %s",
-                 slow.size(), fmtT(wall, corpus).c_str()));
+                 slow.size(), fmtT(wall).c_str()));
         for (const auto &[bucket, t] : ranked)
             sec.lines.push_back(strf(
                 "  %-28s %s  %s", bucket.c_str(),
-                fmtPct(t, wall).c_str(), fmtT(t, corpus).c_str()));
+                fmtPct(t, wall).c_str(), fmtT(t).c_str()));
 
         std::stable_sort(slow.begin(), slow.end(),
                          [](const Slow &a, const Slow &b) {
@@ -210,14 +205,13 @@ class CriticalPathPass final : public Pass
                  ++j) {
                 if (j)
                     detail += ", ";
-                detail += top[j].first + "=" +
-                          fmtT(top[j].second, corpus);
+                detail += top[j].first + "=" + fmtT(top[j].second);
             }
             sec.lines.push_back(strf(
                 "  serial=%llu track=%u outcome=%s dur=%s  [%s]",
                 static_cast<unsigned long long>(sl.rec->serial),
                 sl.rec->track, sl.rec->outcome.c_str(),
-                fmtT(sl.duration, corpus).c_str(), detail.c_str()));
+                fmtT(sl.duration).c_str(), detail.c_str()));
         }
     }
 };
@@ -286,8 +280,7 @@ class WorkerImbalancePass final : public Pass
                     "worker %-3u sessions=%-5zu events=%-6zu "
                     "busy=%s span=%s avg_concurrency=%.2f",
                     track, w.sessions, w.events,
-                    fmtT(w.busy, corpus).c_str(),
-                    fmtT(span, corpus).c_str(),
+                    fmtT(w.busy).c_str(), fmtT(span).c_str(),
                     span > 0.0 ? w.busy / span : 0.0));
             }
             meanSessions /= static_cast<double>(workers.size());
@@ -388,22 +381,20 @@ class QueueDelayPass final : public Pass
                 "class %-12s jobs=%-5zu errors=%zu "
                 "wait=%s (%s of job time) service=%s",
                 cls.c_str(), cs.jobs, cs.errors,
-                fmtT(cs.wait, corpus).c_str(),
+                fmtT(cs.wait).c_str(),
                 fmtPct(cs.wait, total).c_str(),
-                fmtT(cs.service, corpus).c_str()));
+                fmtT(cs.service).c_str()));
             if (cs.jobs > 0)
                 sec.lines.push_back(strf(
                     "  mean wait=%s mean service=%s",
-                    fmtT(cs.wait / static_cast<double>(cs.jobs), corpus)
-                        .c_str(),
-                    fmtT(cs.service / static_cast<double>(cs.jobs),
-                         corpus)
+                    fmtT(cs.wait / static_cast<double>(cs.jobs)).c_str(),
+                    fmtT(cs.service / static_cast<double>(cs.jobs))
                         .c_str()));
             if (cs.deadlineLost > 0)
                 sec.lines.push_back(strf(
                     "  deadline-fired=%zu wasted wait=%s",
                     cs.deadlineLost,
-                    fmtT(cs.deadlineWait, corpus).c_str()));
+                    fmtT(cs.deadlineWait).c_str()));
         }
         sec.lines.push_back(strf("cancelled jobs (session side): %zu",
                                  cancels));

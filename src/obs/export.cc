@@ -65,7 +65,7 @@ namespace
 /**
  * A rendered trace event awaiting emission: sorted by timestamp so
  * every (pid, tid) track is monotonically ordered in the file, which
- * the CI validator asserts.
+ * ssla_analyze's ingest asserts.
  */
 struct Emitted
 {
@@ -304,41 +304,6 @@ ChromeTraceCollector::writeFile(const std::string &path) const
     bool ok = std::ferror(f) == 0;
     std::fclose(f);
     return ok;
-}
-
-// ---------------------------------------------------------------------
-// JsonlTraceSink
-
-void
-JsonlTraceSink::dump(const SessionTrace &trace)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    for (const auto &e : trace.events()) {
-        std::fprintf(out_,
-                     "{\"serial\":%" PRIu64 ",\"track\":%u"
-                     ",\"cycles\":%" PRIu64 ",\"tick\":%" PRIu64
-                     ",\"kind\":\"%s\",\"side\":\"%s\"",
-                     trace.serial(), trace.track(), e.cycles, e.tick,
-                     traceEventKindName(e.kind), traceSideName(e.side));
-        if (e.code)
-            std::fprintf(out_, ",\"code\":%u", e.code);
-        if (e.arg)
-            std::fprintf(out_, ",\"arg\":%" PRIu64, e.arg);
-        if (e.label)
-            std::fprintf(out_, ",\"label\":\"%s\"",
-                         jsonEscape(e.label).c_str());
-        if (!e.text.empty())
-            std::fprintf(out_, ",\"text\":\"%s\"",
-                         jsonEscape(e.text).c_str());
-        std::fputs("}\n", out_);
-    }
-    std::fprintf(out_,
-                 "{\"serial\":%" PRIu64 ",\"summary\":true"
-                 ",\"outcome\":\"%s\",\"events\":%" PRIu64
-                 ",\"dropped\":%" PRIu64 "}\n",
-                 trace.serial(), jsonEscape(trace.outcome()).c_str(),
-                 trace.recorded(), trace.dropped());
-    std::fflush(out_);
 }
 
 // ---------------------------------------------------------------------

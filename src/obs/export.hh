@@ -9,13 +9,12 @@
  *    client endpoints render as sub-tracks. Handshake states become
  *    "X" complete spans, point events become "i" instants, and the
  *    session lifetime is an async "b"/"e" span keyed by the session
- *    serial.
- *  - JsonlTraceSink: streams one JSON object per trace event, one per
- *    line — flat, greppable, suitable for piping into jq.
+ *    serial. This is the obs layer's one trace format; ssla_analyze
+ *    ingests and validates it.
  *  - writeMetricsText: plain-text snapshot dump (counters, gauges and
  *    histogram percentiles) for bench stderr summaries.
  *
- * Both sinks are thread-safe; engine workers dump concurrently.
+ * The collector is thread-safe; engine workers dump concurrently.
  */
 
 #ifndef SSLA_OBS_EXPORT_HH
@@ -72,20 +71,6 @@ class ChromeTraceCollector : public TraceSink
 
     mutable std::mutex m_;
     std::vector<Captured> traces_;
-};
-
-/** Streams each dumped trace as one JSON object per event per line. */
-class JsonlTraceSink : public TraceSink
-{
-  public:
-    /** Does not take ownership of @p out. */
-    explicit JsonlTraceSink(std::FILE *out) : out_(out) {}
-
-    void dump(const SessionTrace &trace) override;
-
-  private:
-    std::mutex m_;
-    std::FILE *out_;
 };
 
 /** Plain-text metrics dump: counters, gauges, histogram percentiles. */

@@ -1,11 +1,11 @@
 /**
  * @file
  * Trace-analysis framework tests: the strict JSON parser (exact
- * integers, rejection with line/column), JSONL and Chrome ingest into
- * the event graph, the exporter round trip (JSONL and Chrome renderings
- * of the same trace ingest to the same session history), pass
- * determinism (byte-identical reports on the same corpus), the bench
- * regression diff failing closed on an injected gate regression, and
+ * integers, rejection with line/column), Chrome ingest as the trace
+ * validator (one rejection per shape rule, each naming its defect),
+ * the exporter round trip (session history survives export and
+ * ingest), pass determinism (byte-identical reports on the same
+ * corpus), the bench-artifact schema check and regression diff, and
  * the outcome-keyed sampling policy (failed sessions survive 1-in-N
  * sampling end to end through a faulted engine run).
  */
@@ -15,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string>
+#include <vector>
 
 #include "obs/analysis/diff.hh"
 #include "obs/analysis/model.hh"
@@ -80,83 +82,147 @@ TEST(AnalysisJson, PreservesObjectMemberOrder)
 }
 
 // ---------------------------------------------------------------------
-// JSONL ingest
+// Chrome ingest: the trace validator
 
-const char *kJsonlFixture =
-    "{\"serial\":7,\"track\":0,\"cycles\":100,\"tick\":0,"
-    "\"kind\":\"ConnOpen\",\"side\":\"engine\",\"label\":\"clean\"}\n"
-    "{\"serial\":7,\"track\":0,\"cycles\":150,\"tick\":1,"
-    "\"kind\":\"StateEnter\",\"side\":\"server\","
-    "\"label\":\"GetClientHello\"}\n"
-    "{\"serial\":7,\"track\":0,\"cycles\":400,\"tick\":2,"
-    "\"kind\":\"Park\",\"side\":\"engine\",\"code\":3,"
-    "\"label\":\"rsa_decrypt\"}\n"
-    "{\"serial\":7,\"track\":0,\"cycles\":900,\"tick\":5,"
-    "\"kind\":\"Resume\",\"side\":\"engine\",\"code\":3,"
-    "\"label\":\"rsa_decrypt\"}\n"
-    "{\"serial\":7,\"track\":0,\"cycles\":950,\"tick\":5,"
-    "\"kind\":\"AlertSend\",\"side\":\"server\",\"code\":40,"
-    "\"label\":\"handshake_failure\"}\n"
-    "{\"serial\":7,\"summary\":true,\"outcome\":\"fatal\","
-    "\"events\":5,\"dropped\":0}\n"
-    "{\"serial\":1000,\"track\":1000,\"cycles\":120,\"tick\":0,"
-    "\"kind\":\"JobStart\",\"side\":\"engine\",\"code\":3,"
-    "\"arg\":50,\"label\":\"decrypt\"}\n"
-    "{\"serial\":1000,\"track\":1000,\"cycles\":300,\"tick\":0,"
-    "\"kind\":\"JobEnd\",\"side\":\"engine\",\"arg\":180,"
-    "\"label\":\"decrypt\"}\n"
-    "{\"serial\":1000,\"summary\":true,\"outcome\":\"pool-exit\","
-    "\"events\":2,\"dropped\":0}\n";
+// One worker session (open, instant, close) and one crypto job span.
+const std::string kOpen =
+    R"({"ph":"b","ts":0,"cat":"session","name":"session","pid":1,)"
+    R"("tid":2,"id":"0x1","args":{"serial":1,"outcome":"completed"}})";
+const std::string kInstant =
+    R"({"ph":"i","ts":1,"s":"t","cat":"ConnOpen","name":"ConnOpen:clean",)"
+    R"("pid":1,"tid":2,"args":{"serial":1}})";
+const std::string kJob =
+    R"({"ph":"X","ts":2,"dur":3,"cat":"JobStart","name":"JobStart:decrypt",)"
+    R"("pid":1,"tid":8002,"args":{"serial":1000,"outcome":"ok"}})";
+const std::string kClose =
+    R"({"ph":"e","ts":6,"cat":"session","name":"session","pid":1,)"
+    R"("tid":2,"id":"0x1"})";
 
-TEST(AnalysisIngest, JsonlGroupsSessionsAndAppliesSummaries)
+/** The IngestError text for @p events, or "accepted". */
+std::string
+ingestDefect(const std::vector<std::string> &events)
 {
-    Corpus corpus = ingestJsonl(kJsonlFixture);
-    EXPECT_EQ(corpus.format, "jsonl");
-    EXPECT_EQ(corpus.timeUnit, "cycles");
-    ASSERT_EQ(corpus.sessions.size(), 2u);
-    EXPECT_EQ(corpus.sessionCount(), 1u); // crypto track excluded
-
-    const SessionRecord &s = corpus.sessions[0];
-    EXPECT_EQ(s.serial, 7u);
-    EXPECT_EQ(s.outcome, "fatal");
-    ASSERT_EQ(s.events.size(), 5u);
-    EXPECT_EQ(s.events[0].kind, "ConnOpen");
-    EXPECT_EQ(s.events[2].kind, "Park");
-    EXPECT_EQ(s.events[2].code, 3u); // JobClass stamp survives
-    EXPECT_EQ(s.events[4].kind, "AlertSend");
-
-    const SessionRecord &c = corpus.sessions[1];
-    EXPECT_TRUE(c.isCryptoTrack());
-    EXPECT_EQ(c.outcome, "pool-exit");
-    ASSERT_EQ(c.events.size(), 2u);
-    EXPECT_EQ(c.events[0].kind, "JobStart");
-    EXPECT_EQ(c.events[0].arg, 50u); // queue wait
+    std::string doc = "{\"traceEvents\":[";
+    for (size_t k = 0; k < events.size(); ++k)
+        doc += (k ? "," : "") + events[k];
+    doc += "]}";
+    try {
+        ingestChrome(parseJson(doc));
+    } catch (const IngestError &e) {
+        return e.what();
+    }
+    return "accepted";
 }
 
-TEST(AnalysisIngest, MalformedLineRejectsWithLineNumber)
+void
+expectRejected(const std::vector<std::string> &events,
+               const std::string &defect)
 {
-    const char *bad =
-        "{\"serial\":1,\"track\":0,\"cycles\":1,\"tick\":0,"
-        "\"kind\":\"ConnOpen\",\"side\":\"engine\"}\n"
-        "this is not json\n";
-    try {
-        ingestJsonl(bad);
-        FAIL() << "expected IngestError";
-    } catch (const IngestError &e) {
-        EXPECT_NE(std::string(e.what()).find("line 2"),
-                  std::string::npos)
-            << e.what();
-    }
+    const std::string what = ingestDefect(events);
+    EXPECT_NE(what.find(defect), std::string::npos) << "got: " << what;
+}
 
-    // A structurally valid line missing a required key also names it.
-    try {
-        ingestJsonl("{\"serial\":1,\"track\":0}\n");
-        FAIL() << "expected IngestError";
-    } catch (const IngestError &e) {
-        EXPECT_NE(std::string(e.what()).find("kind"),
-                  std::string::npos)
-            << e.what();
-    }
+/** @p event with its first @p from replaced by @p to. */
+std::string
+edit(std::string event, const std::string &from, const std::string &to)
+{
+    const size_t at = event.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        event.replace(at, from.size(), to);
+    return event;
+}
+
+TEST(AnalysisIngest, AcceptsWellFormedExport)
+{
+    EXPECT_EQ(ingestDefect({kOpen, kInstant, kJob, kClose}), "accepted");
+    // Timestamps only need to be monotone within one (pid, tid) track.
+    EXPECT_EQ(ingestDefect({kOpen, kInstant, kJob,
+                            edit(kInstant, "\"tid\":2", "\"tid\":3"),
+                            kClose}),
+              "accepted");
+}
+
+TEST(AnalysisIngest, RejectsEmptyTraceEvents)
+{
+    expectRejected({}, "traceEvents is empty");
+}
+
+TEST(AnalysisIngest, RejectsEventMissingNamePhOrPid)
+{
+    expectRejected({R"({"ph":"M","pid":1})"}, "missing string 'name'");
+    expectRejected({R"({"name":"process_name","pid":1})"},
+                   "missing string 'ph'");
+    expectRejected({R"({"ph":"M","name":"process_name"})"}, "'pid'");
+}
+
+TEST(AnalysisIngest, RejectsTimedEventMissingTidOrTs)
+{
+    expectRejected({edit(kInstant, "\"tid\":2,", "")},
+                   "missing numeric 'tid'");
+    expectRejected({edit(kInstant, "\"ts\":1,", "")},
+                   "missing numeric 'ts'");
+}
+
+TEST(AnalysisIngest, RejectsNegativeOrDecreasingTs)
+{
+    expectRejected({edit(kInstant, "\"ts\":1", "\"ts\":-1")},
+                   "negative ts");
+    expectRejected({kOpen, edit(kInstant, "\"ts\":1", "\"ts\":7"),
+                    kInstant, kClose},
+                   "ts 1.000 < previous 7.000");
+}
+
+TEST(AnalysisIngest, RejectsSpanWithoutNonNegativeDur)
+{
+    expectRejected({edit(kJob, "\"dur\":3", "\"dur\":-1")},
+                   "X span needs dur >= 0");
+    expectRejected({edit(kJob, "\"dur\":3,", "")},
+                   "X span needs dur >= 0");
+}
+
+TEST(AnalysisIngest, RejectsJobSpanWithoutValidOutcome)
+{
+    const std::string defect =
+        "JobStart span needs args.outcome in {ok,error,unfinished}";
+    expectRejected({edit(kJob, ",\"outcome\":\"ok\"", "")}, defect);
+    expectRejected({edit(kJob, "\"ok\"", "\"maybe\"")}, defect);
+}
+
+TEST(AnalysisIngest, RejectsEventWithoutIntegerSerial)
+{
+    const std::string defect = "needs a non-negative integer args.serial";
+    expectRejected({edit(kInstant, ",\"args\":{\"serial\":1}", "")},
+                   defect);
+    expectRejected({edit(kInstant, "\"serial\":1", "\"serial\":1.5")},
+                   defect);
+    expectRejected({edit(kJob, "\"serial\":1000", "\"serial\":\"1000\"")},
+                   defect);
+    expectRejected({edit(kOpen, "\"serial\":1,", ""), kClose}, defect);
+}
+
+TEST(AnalysisIngest, RejectsUnpairedAsyncEvents)
+{
+    expectRejected({edit(kOpen, "\"id\":\"0x1\",", ""), kClose},
+                   "async event needs a numeric or string 'id'");
+    expectRejected({kInstant, kClose}, "'e' with no open 'b' for id");
+    expectRejected({kOpen, kInstant}, "'b' event(s) never closed");
+    // The key is (pid, cat, id): an "e" of another category does not
+    // close the session.
+    expectRejected({kOpen, edit(kClose, "\"cat\":\"session\"",
+                                "\"cat\":\"other\"")},
+                   "'e' with no open 'b' for id");
+}
+
+TEST(AnalysisIngest, RejectsSessionOpenWithoutOutcome)
+{
+    const std::string defect =
+        "session 'b' needs a non-empty string args.outcome";
+    expectRejected({edit(kOpen, ",\"outcome\":\"completed\"", ""),
+                    kClose},
+                   defect);
+    expectRejected({edit(kOpen, "\"completed\"", "\"\""), kClose},
+                   defect);
 }
 
 // ---------------------------------------------------------------------
@@ -188,55 +254,54 @@ fillTraces(SessionTrace &session, SessionTrace &crypto)
     crypto.noteOutcome("pool-exit");
 }
 
-TEST(AnalysisRoundTrip, JsonlAndChromeIngestToSameHistory)
+/** Export @p traces through ChromeTraceCollector and ingest them. */
+Corpus
+exportAndIngest(std::initializer_list<const SessionTrace *> traces)
+{
+    obs::ChromeTraceCollector collector;
+    for (const SessionTrace *t : traces)
+        collector.dump(*t);
+    char *buf = nullptr;
+    size_t len = 0;
+    FILE *mem = open_memstream(&buf, &len);
+    EXPECT_NE(mem, nullptr);
+    if (!mem)
+        return {};
+    collector.write(mem);
+    std::fclose(mem);
+    const std::string text(buf, len);
+    std::free(buf);
+    return ingestChrome(parseJson(text));
+}
+
+TEST(AnalysisRoundTrip, ChromeExportIngestKeepsHistory)
 {
     SessionTrace session(7, 0, 64);
     SessionTrace crypto(1000, obs::cryptoTrackBase, 64);
     fillTraces(session, crypto);
+    const Corpus corpus = exportAndIngest({&session, &crypto});
 
-    // JSONL rendering -> ingest.
-    char *buf = nullptr;
-    size_t len = 0;
-    FILE *mem = open_memstream(&buf, &len);
-    ASSERT_NE(mem, nullptr);
-    {
-        obs::JsonlTraceSink sink(mem);
-        sink.dump(session);
-        sink.dump(crypto);
-    }
-    std::fclose(mem);
-    Corpus fromJsonl = ingestJsonl(std::string_view(buf, len));
-    std::free(buf);
-
-    // Chrome rendering -> ingest.
-    obs::ChromeTraceCollector collector;
-    collector.dump(session);
-    collector.dump(crypto);
-    buf = nullptr;
-    mem = open_memstream(&buf, &len);
-    ASSERT_NE(mem, nullptr);
-    collector.write(mem);
-    std::fclose(mem);
-    Corpus fromChrome = ingestChrome(parseJson({buf, len}));
-    std::free(buf);
-
-    // Same sessions, same outcomes, same event count and ordering.
-    ASSERT_EQ(fromJsonl.sessions.size(), fromChrome.sessions.size());
-    EXPECT_EQ(fromJsonl.totalEvents(), fromChrome.totalEvents());
-    for (size_t s = 0; s < fromJsonl.sessions.size(); ++s) {
-        const SessionRecord &a = fromJsonl.sessions[s];
-        const SessionRecord &b = fromChrome.sessions[s];
-        EXPECT_EQ(a.serial, b.serial);
-        EXPECT_EQ(a.track, b.track);
-        EXPECT_EQ(a.outcome, b.outcome);
-        ASSERT_EQ(a.events.size(), b.events.size());
-        for (size_t k = 0; k < a.events.size(); ++k) {
-            EXPECT_EQ(a.events[k].kind, b.events[k].kind)
+    // Sessions come back sorted by (track, serial).
+    const SessionTrace *sources[] = {&session, &crypto};
+    ASSERT_EQ(corpus.sessions.size(), 2u);
+    EXPECT_EQ(corpus.sessionCount(), 1u); // crypto track excluded
+    for (size_t s = 0; s < 2; ++s) {
+        const SessionTrace &src = *sources[s];
+        const SessionRecord &rec = corpus.sessions[s];
+        EXPECT_EQ(rec.serial, src.serial());
+        EXPECT_EQ(rec.track, src.track());
+        EXPECT_EQ(rec.outcome, src.outcome());
+        const std::vector<obs::TraceEvent> events = src.events();
+        ASSERT_EQ(rec.events.size(), events.size()) << "session " << s;
+        for (size_t k = 0; k < events.size(); ++k) {
+            EXPECT_EQ(rec.events[k].kind,
+                      obs::traceEventKindName(events[k].kind))
                 << "session " << s << " event " << k;
-            EXPECT_EQ(a.events[k].label, b.events[k].label);
-            EXPECT_EQ(a.events[k].code, b.events[k].code)
+            EXPECT_EQ(rec.events[k].label,
+                      events[k].label ? events[k].label : "");
+            EXPECT_EQ(rec.events[k].code, events[k].code)
                 << "session " << s << " event " << k << " ("
-                << a.events[k].kind << ")";
+                << rec.events[k].kind << ")";
         }
     }
 }
@@ -246,7 +311,13 @@ TEST(AnalysisRoundTrip, JsonlAndChromeIngestToSameHistory)
 
 TEST(AnalysisPasses, SameCorpusSameReport)
 {
-    Corpus corpus = ingestJsonl(kJsonlFixture);
+    SessionTrace session(7, 0, 64);
+    SessionTrace crypto(1000, obs::cryptoTrackBase, 64);
+    fillTraces(session, crypto);
+    session.record(TraceEventKind::AlertSend, obs::traceSideServer,
+                   "handshake_failure", 40);
+    session.noteOutcome("fatal");
+    const Corpus corpus = exportAndIngest({&session, &crypto});
     PassRegistry registry = makeBuiltinRegistry();
     ASSERT_GE(registry.all().size(), 5u);
 
@@ -264,6 +335,101 @@ TEST(AnalysisPasses, SameCorpusSameReport)
     EXPECT_NE(first.find("park:rsa_decrypt"), std::string::npos);
     EXPECT_NE(first.find("class new_full"), std::string::npos);
     EXPECT_NE(first.find("outcome=fatal"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Bench artifact check
+
+// A bench_serve_throughput --smoke artifact, lists trimmed.
+const std::string kThroughputDoc = R"({
+  "bench": "serve_throughput", "cycle_hz": 2099986655, "smoke": true,
+  "workers": 1,
+  "wire_identity": [{"suite": "RSA_3DES_EDE_CBC_SHA", "identical": true}],
+  "steady_state": [{"suite": "RSA_3DES_EDE_CBC_SHA", "records": 64,
+                    "scratch_grows": 0, "pending_spills": 0,
+                    "steady_ok": true}],
+  "results": [
+    {"record_bytes": 1024,
+     "record_layer": {"records_per_sec": 62187, "mb_per_sec": 63.68},
+     "serve_engine": {"bulk_bytes_per_conn": 65536,
+                      "elapsed_sec": 0.013,
+                      "records_per_sec_per_worker": 20152,
+                      "mb_per_sec_per_worker": 20.64,
+                      "completed_ok": true}},
+    {"record_bytes": 16384,
+     "record_layer": {"records_per_sec": 9120, "mb_per_sec": 149.4},
+     "serve_engine": {"bulk_bytes_per_conn": 65536,
+                      "elapsed_sec": 0.004,
+                      "records_per_sec_per_worker": 4310,
+                      "mb_per_sec_per_worker": 70.6,
+                      "completed_ok": true}}
+  ],
+  "gate": {"wire_identical": true, "steady_state_zero": true,
+           "engine_completed": true, "pass": true}
+})";
+
+/** checkBench over kThroughputDoc with one edit, defects joined. */
+std::string
+checkDefects(const std::string &from = {}, const std::string &to = {})
+{
+    std::string out;
+    for (const std::string &d :
+         checkBench(from.empty() ? kThroughputDoc
+                                 : edit(kThroughputDoc, from, to)))
+        out += d + "\n";
+    return out;
+}
+
+TEST(AnalysisCheck, AcceptsSmokeThroughputArtifact)
+{
+    EXPECT_EQ(checkDefects(), "");
+}
+
+TEST(AnalysisCheck, RejectsFalseGate)
+{
+    EXPECT_EQ(checkDefects("\"engine_completed\": true",
+                           "\"engine_completed\": false"),
+              "gate gate.engine_completed is false\n");
+}
+
+TEST(AnalysisCheck, RejectsNonBoolGate)
+{
+    EXPECT_EQ(checkDefects("\"wire_identical\": true",
+                           "\"wire_identical\": 1"),
+              "gate gate.wire_identical is not a bool\n");
+}
+
+TEST(AnalysisCheck, RejectsMissingRequiredPath)
+{
+    EXPECT_EQ(checkDefects("\"mb_per_sec\": 149.4", "\"mbps\": 149.4"),
+              "results.*.record_layer.mb_per_sec: missing "
+              "'mb_per_sec'\n");
+    // A missing gate is reported as a gate defect.
+    EXPECT_EQ(checkDefects(", \"pass\": true", ""),
+              "gate gate.pass: missing 'pass'\n");
+}
+
+TEST(AnalysisCheck, RejectsWildcardOverEmptyList)
+{
+    EXPECT_EQ(checkDefects("\"wire_identity\": [",
+                           "\"wire_identity\": [], \"was\": ["),
+              "wire_identity.*.identical: expected non-empty list\n");
+}
+
+TEST(AnalysisCheck, RejectsNonFiniteNumbers)
+{
+    // The literal never parses; an overflowing exponent parses to inf.
+    EXPECT_NE(checkDefects("20.64", "NaN").find("non-finite literal"),
+              std::string::npos);
+    EXPECT_EQ(checkDefects("20.64", "1e999"),
+              "results.*.serve_engine.mb_per_sec_per_worker: non-finite "
+              "number\n");
+}
+
+TEST(AnalysisCheck, RejectsUnknownBenchId)
+{
+    EXPECT_EQ(checkDefects("\"serve_throughput\"", "\"serve_turbo\""),
+              "unknown bench id \"serve_turbo\"\n");
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+
 #include "perf/probe.hh"
 #include "ssl/client.hh"
 #include "ssl/server.hh"
@@ -133,24 +138,35 @@ TEST(Integration, HandshakeAnatomyProbesFire)
 TEST(Integration, FineGrainedBnProfile)
 {
     // Table 8: with fine probes on, RSA decryption time should be
-    // attributed mostly to bn_mul_add_words.
-    perf::PerfContext ctx(true);
+    // attributed mostly to bn_mul_add_words. One preempted sample can
+    // flip a cycle comparison, so compare per-function minima of the
+    // exclusive cycles over several decrypts.
     const auto &kp = test::testKey1024();
     crypto::RandomPool pool(toBytes("bn-profile"));
     Bytes cipher =
         crypto::rsaPublicEncrypt(kp.pub, Bytes(48, 7), pool);
-    {
-        perf::ContextScope scope(&ctx);
-        crypto::rsaPrivateDecrypt(*kp.priv, cipher);
+    std::map<std::string, uint64_t> minExclusive;
+    uint64_t total = UINT64_MAX;
+    for (int run = 0; run < 5; ++run) {
+        perf::PerfContext ctx(true);
+        {
+            perf::ContextScope scope(&ctx);
+            crypto::rsaPrivateDecrypt(*kp.priv, cipher);
+        }
+        total = std::min(total, ctx.totalExclusive());
+        for (const auto &[name, counter] : ctx.counters()) {
+            auto it =
+                minExclusive.try_emplace(name, counter.exclusive).first;
+            it->second = std::min(it->second, counter.exclusive);
+        }
     }
-    ASSERT_TRUE(ctx.counters().count("bn_mul_add_words"));
-    ASSERT_TRUE(ctx.counters().count("BN_from_montgomery"));
-    uint64_t muladd = ctx.counters().at("bn_mul_add_words").exclusive;
-    uint64_t total = ctx.totalExclusive();
+    ASSERT_TRUE(minExclusive.count("bn_mul_add_words"));
+    ASSERT_TRUE(minExclusive.count("BN_from_montgomery"));
+    const uint64_t muladd = minExclusive.at("bn_mul_add_words");
     // The multiply kernel is the single largest consumer.
-    for (const auto &[name, counter] : ctx.counters()) {
+    for (const auto &[name, exclusive] : minExclusive) {
         if (name != "bn_mul_add_words") {
-            EXPECT_GE(muladd, counter.exclusive) << name;
+            EXPECT_GE(muladd, exclusive) << name;
         }
     }
     EXPECT_GT(static_cast<double>(muladd), 0.25 * total);

@@ -1,14 +1,21 @@
 /**
  * @file
- * ssla_analyze — run trace-analysis passes over serve-bench telemetry.
+ * ssla_analyze — the one checker for serve-bench telemetry: trace
+ * analysis passes, the trace validator, and the BENCH_*.json rules.
  *
- * Two modes:
+ * Three modes:
  *
  *   ssla_analyze [--passes a,b,...] [--metrics FILE] TRACE
- *       Ingest a JSONL or Chrome trace (format auto-detected), run the
- *       requested passes (default: all built-ins) and print the
+ *       Ingest a Chrome trace (validating its shape; see ingestChrome),
+ *       run the requested passes (default: all built-ins) and print the
  *       report. Output is deterministic: the same input produces
- *       byte-identical output, so CI can diff two runs.
+ *       byte-identical output, so CI can diff two runs. A malformed
+ *       trace exits 2 with the event and the defect.
+ *
+ *   ssla_analyze --check FILE...
+ *       Check BENCH_*.json artifacts against their bench's schema
+ *       (gates present and true, required paths present, numbers
+ *       finite). Exit 1 when any file fails.
  *
  *   ssla_analyze --diff OLD.json NEW.json [--max-delta PCT]
  *       Compare two BENCH_*.json artifacts. Exit 1 when a gate field
@@ -17,6 +24,7 @@
  *       fatal.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,9 +46,10 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s [--passes a,b,...] [--metrics FILE] TRACE\n"
+        "       %s --check BENCH.json...\n"
         "       %s --diff OLD.json NEW.json [--max-delta PCT]\n"
         "       %s --list\n",
-        argv0, argv0, argv0);
+        argv0, argv0, argv0, argv0);
     return 2;
 }
 
@@ -68,6 +77,27 @@ splitCsv(const std::string &csv)
         pos = comma + 1;
     }
     return out;
+}
+
+int
+runCheck(const std::vector<std::string> &paths)
+{
+    bool failed = false;
+    for (const auto &path : paths) {
+        std::vector<std::string> defects;
+        try {
+            defects = checkBench(readFileOrThrow(path));
+        } catch (const IngestError &) {
+            defects = {"cannot read file"};
+        }
+        for (const auto &d : defects)
+            std::fprintf(stderr, "FAIL %s: %s\n", path.c_str(),
+                         d.c_str());
+        if (defects.empty())
+            std::printf("OK   %s\n", path.c_str());
+        failed |= !defects.empty();
+    }
+    return failed ? 1 : 0;
 }
 
 int
@@ -126,12 +156,13 @@ runAnalysis(const std::string &tracePath,
 int
 main(int argc, char **argv)
 {
-    std::string tracePath;
+    std::vector<std::string> files;
     std::string metricsPath;
     std::string diffOld, diffNew;
     std::vector<std::string> passNames;
     double maxDeltaPct = 25.0;
     bool diffMode = false;
+    bool checkMode = false;
 
     for (int k = 1; k < argc; ++k) {
         const std::string arg = argv[k];
@@ -151,7 +182,19 @@ main(int argc, char **argv)
         } else if (arg == "--metrics") {
             metricsPath = next();
         } else if (arg == "--max-delta") {
-            maxDeltaPct = std::strtod(next(), nullptr);
+            const char *text = next();
+            char *end = nullptr;
+            maxDeltaPct = std::strtod(text, &end);
+            if (end == text || *end != '\0' ||
+                !std::isfinite(maxDeltaPct) || maxDeltaPct < 0) {
+                std::fprintf(stderr,
+                             "ssla_analyze: --max-delta '%s' is not a "
+                             "finite non-negative percentage\n",
+                             text);
+                return 2;
+            }
+        } else if (arg == "--check") {
+            checkMode = true;
         } else if (arg == "--diff") {
             diffMode = true;
             diffOld = next();
@@ -162,26 +205,19 @@ main(int argc, char **argv)
             std::fprintf(stderr, "ssla_analyze: unknown option %s\n",
                          arg.c_str());
             return usage(argv[0]);
-        } else if (tracePath.empty()) {
-            tracePath = arg;
         } else {
-            std::fprintf(stderr,
-                         "ssla_analyze: only one trace file "
-                         "per run (got %s and %s)\n",
-                         tracePath.c_str(), arg.c_str());
-            return 2;
+            files.push_back(arg);
         }
     }
 
     try {
-        if (diffMode) {
-            if (!tracePath.empty())
-                return usage(argv[0]);
+        if (diffMode && !checkMode && files.empty())
             return runDiff(diffOld, diffNew, maxDeltaPct);
-        }
-        if (tracePath.empty())
-            return usage(argv[0]);
-        return runAnalysis(tracePath, metricsPath, passNames);
+        if (checkMode && !diffMode && !files.empty())
+            return runCheck(files);
+        if (!diffMode && !checkMode && files.size() == 1)
+            return runAnalysis(files[0], metricsPath, passNames);
+        return usage(argv[0]);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "ssla_analyze: %s\n", e.what());
         return 2;
