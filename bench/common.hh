@@ -88,17 +88,22 @@ benchProvider()
     return crypto::scalarProvider();
 }
 
-/** A deterministic RSA key of @p bits (cached per size). */
+/**
+ * A deterministic RSA key of @p bits (cached per size), on bn32: the
+ * paper-era engine the Table 7/8/9 anatomy is anchored to.
+ */
 inline const crypto::RsaKeyPair &
 benchKey(size_t bits)
 {
-    static crypto::RsaKeyPair k512 =
-        crypto::rsaGenerateKey(512, [](uint8_t *o, size_t l) {
+    static crypto::RsaKeyPair k512 = crypto::rsaGenerateKey(
+        512,
+        [](uint8_t *o, size_t l) {
             static Xoshiro256 rng(0xb512);
             rng.fill(o, l);
         });
-    static crypto::RsaKeyPair k1024 =
-        crypto::rsaGenerateKey(1024, [](uint8_t *o, size_t l) {
+    static crypto::RsaKeyPair k1024 = crypto::rsaGenerateKey(
+        1024,
+        [](uint8_t *o, size_t l) {
             static Xoshiro256 rng(0xb1024);
             rng.fill(o, l);
         });

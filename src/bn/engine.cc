@@ -1,12 +1,8 @@
 #include "bn/engine.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "bn/kernels64.hh"
-#include "bn/modexp.hh"
-#include "bn/montgomery.hh"
-#include "obs/metrics.hh"
 
 namespace ssla::bn
 {
@@ -69,31 +65,7 @@ class Bn64Engine final : public Engine
     }
 };
 
-thread_local const Engine *tl_active = nullptr;
-
-/** Handle resolved once; set() is a relaxed atomic store afterwards. */
-obs::Gauge &
-backendGauge()
-{
-    static obs::Gauge g =
-        obs::MetricsRegistry::global().gauge("bn.active_backend_bits");
-    return g;
-}
-
 } // anonymous namespace
-
-BigNum
-Engine::modExp(const BigNum &base, const BigNum &exp, const BigNum &m) const
-{
-    if (m.isZero() || m.isNegative())
-        throw std::domain_error("modExp: modulus must be positive");
-    if (m.isOne())
-        return BigNum();
-    if (!m.isOdd())
-        return bn::modExp(base, exp, m); // division path, engine-free
-    MontgomeryCtx ctx(m, this);
-    return modExpMont(base, exp, ctx);
-}
 
 const Engine &
 bn32Engine()
@@ -107,21 +79,6 @@ bn64Engine()
 {
     static const Bn64Engine engine;
     return engine;
-}
-
-const Engine &
-activeEngine()
-{
-    return tl_active ? *tl_active : bn32Engine();
-}
-
-const Engine *
-setActiveEngine(const Engine *engine)
-{
-    const Engine *prev = tl_active;
-    tl_active = engine;
-    backendGauge().set(static_cast<int64_t>(activeEngine().limbBits()));
-    return prev;
 }
 
 } // namespace ssla::bn

@@ -6,15 +6,16 @@
  * anchor — its kernel anatomy matches OpenSSL 0.9.7d on the Pentium 4,
  * so Tables 8/9 reproduce on it. The 64-bit engine (kernels64.hh) is
  * the modern counterpart: 128-bit intermediates and Karatsuba above a
- * tuned threshold. `Engine` makes the choice a runtime property: call
- * sites keep saying modExp/mul/sqr, and the provider (or an
- * EngineScope in a bench/test) decides which arithmetic runs
- * underneath. bn32Engine()/bn64Engine() are the only way to name one.
+ * tuned threshold. bn32Engine()/bn64Engine() are the only way to name
+ * one.
  *
- * Selection is thread-local and defaults to bn32, so existing code —
- * the whole paper reproduction included — behaves exactly as before
- * unless a caller opts in. The active backend is surfaced as the obs
- * gauge "bn.active_backend_bits" (32 or 64).
+ * There is one way to choose a backend: whoever builds the state names
+ * it. A MontgomeryCtx and an RsaPrivateKey take their engine as a
+ * required constructor argument and keep it for life, and
+ * Engine::modExp is the only modexp entry point. Work with no key of
+ * its own (DH, the RSA public op, Miller-Rabin) names bn32Engine() at
+ * the call site, and so does rsaGenerateKey, so the paper reproduction
+ * stays on its profiling anchor.
  */
 
 #ifndef SSLA_BN_ENGINE_HH
@@ -24,8 +25,6 @@
 
 namespace ssla::bn
 {
-
-class MontgomeryCtx;
 
 /** Which limb core an Engine runs on. */
 enum class BnBackend
@@ -55,9 +54,10 @@ class Engine
     virtual BigNum sqr(const BigNum &a) const = 0;
 
     /**
-     * base^exp mod m on this backend: for odd m > 1 this builds a
-     * MontgomeryCtx bound to this engine; even moduli fall back to the
-     * engine-independent division path. @p exp must be non-negative.
+     * base^exp mod m on this backend, the only modexp entry point: for
+     * odd m > 1 this builds a MontgomeryCtx bound to this engine; even
+     * moduli take the engine-independent square-and-multiply path with
+     * division. @p exp must be non-negative.
      */
     BigNum modExp(const BigNum &base, const BigNum &exp,
                   const BigNum &m) const;
@@ -68,38 +68,6 @@ const Engine &bn32Engine();
 
 /** The 64-bit/Karatsuba engine ("bn64"). */
 const Engine &bn64Engine();
-
-/**
- * The calling thread's active engine (bn32 unless overridden). The
- * free bn::modExp and default-constructed MontgomeryCtx route through
- * this, which is how DHE and PKI verification pick up a provider's
- * backend without call-site changes.
- */
-const Engine &activeEngine();
-
-/**
- * Override the calling thread's active engine (nullptr resets to the
- * bn32 default). Returns the previous override. Updates the
- * "bn.active_backend_bits" gauge. Prefer EngineScope.
- */
-const Engine *setActiveEngine(const Engine *engine);
-
-/** RAII active-engine override for the current thread. */
-class EngineScope
-{
-  public:
-    explicit EngineScope(const Engine &engine)
-        : prev_(setActiveEngine(&engine))
-    {
-    }
-    ~EngineScope() { setActiveEngine(prev_); }
-
-    EngineScope(const EngineScope &) = delete;
-    EngineScope &operator=(const EngineScope &) = delete;
-
-  private:
-    const Engine *prev_;
-};
 
 } // namespace ssla::bn
 

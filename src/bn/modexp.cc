@@ -3,6 +3,7 @@
 #include <array>
 #include <stdexcept>
 
+#include "bn/engine.hh"
 #include "perf/probe.hh"
 
 namespace ssla::bn
@@ -130,7 +131,7 @@ modExpMont(const BigNum &base, const BigNum &exp, const MontgomeryCtx &ctx)
 }
 
 BigNum
-modExp(const BigNum &base, const BigNum &exp, const BigNum &m)
+Engine::modExp(const BigNum &base, const BigNum &exp, const BigNum &m) const
 {
     if (m.isZero() || m.isNegative())
         throw std::domain_error("modExp: modulus must be positive");
@@ -138,7 +139,7 @@ modExp(const BigNum &base, const BigNum &exp, const BigNum &m)
         return BigNum();
     if (!m.isOdd())
         return modExpPlain(base, exp, m);
-    MontgomeryCtx ctx(m);
+    MontgomeryCtx ctx(m, *this);
     return modExpMont(base, exp, ctx);
 }
 

@@ -1,7 +1,10 @@
 /**
  * @file
  * Modular exponentiation — the "computation" step of the paper's
- * Table 7 (97-99% of RSA decryption).
+ * Table 7 (97-99% of RSA decryption): 4-bit fixed-window Montgomery
+ * exponentiation on a prebuilt context. A one-shot base^exp mod m is
+ * Engine::modExp (bn/engine.hh), which builds the context on that
+ * engine.
  */
 
 #ifndef SSLA_BN_MODEXP_HH
@@ -12,15 +15,6 @@
 
 namespace ssla::bn
 {
-
-/**
- * base^exp mod m via 4-bit fixed-window Montgomery exponentiation
- * (odd m), falling back to square-and-multiply with division for even
- * moduli. @p exp must be non-negative. The Montgomery context is built
- * on the calling thread's bn::activeEngine(), which is how DHE and PKI
- * inherit a provider's backend without call-site changes.
- */
-BigNum modExp(const BigNum &base, const BigNum &exp, const BigNum &m);
 
 /**
  * base^exp mod m reusing a prebuilt Montgomery context (RSA keeps one

@@ -210,8 +210,8 @@ Mont64Core::fromMontRaw(Raw64 &out, const Raw64 &a) const
 
 // ---------------------------------------------------------------- ctx
 
-MontgomeryCtx::MontgomeryCtx(const BigNum &modulus, const Engine *engine)
-    : n_(modulus), engine_(engine ? engine : &activeEngine())
+MontgomeryCtx::MontgomeryCtx(const BigNum &modulus, const Engine &engine)
+    : n_(modulus), engine_(&engine)
 {
     if (!n_.isOdd() || n_ <= BigNum(1))
         throw std::domain_error("MontgomeryCtx: modulus must be odd > 1");

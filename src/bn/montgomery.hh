@@ -109,12 +109,11 @@ class MontgomeryCtx
     using Raw = std::vector<Limb>;
 
     /**
-     * Build a context for @p modulus on @p engine (nullptr selects the
-     * calling thread's activeEngine(), which defaults to bn32).
+     * Build a context for @p modulus on @p engine, which it keeps for
+     * life (the engine is a singleton, so the reference never dangles).
      * @throws std::domain_error unless the modulus is odd and > 1
      */
-    explicit MontgomeryCtx(const BigNum &modulus,
-                           const Engine *engine = nullptr);
+    MontgomeryCtx(const BigNum &modulus, const Engine &engine);
 
     const BigNum &modulus() const { return n_; }
 

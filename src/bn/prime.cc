@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 
+#include "bn/engine.hh"
 #include "bn/modexp.hh"
 
 namespace ssla::bn
@@ -133,7 +134,7 @@ millerRabin(const BigNum &n, int rounds, const RngFunc &rng)
         ++s;
     BigNum d = n_minus_1.shiftRight(s);
 
-    MontgomeryCtx ctx(n);
+    MontgomeryCtx ctx(n, bn32Engine());
     BigNum two(2);
     BigNum n_minus_3 = n - BigNum(3);
 

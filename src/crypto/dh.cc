@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "bn/modexp.hh"
+#include "bn/engine.hh"
 #include "bn/prime.hh"
 #include "perf/probe.hh"
 
@@ -35,7 +35,7 @@ dhGenerateKey(const DhParams &params, RandomPool &pool,
     };
     DhKeyPair kp;
     kp.priv = bn::randomBits(exponent_bits, rng);
-    kp.pub = bn::modExp(params.g, kp.priv, params.p);
+    kp.pub = bn::bn32Engine().modExp(params.g, kp.priv, params.p);
     return kp;
 }
 
@@ -50,7 +50,7 @@ dhComputeShared(const DhParams &params, const bn::BigNum &peer_pub,
         peer_pub > params.p - bn::BigNum(2)) {
         throw std::domain_error("DH: peer public value out of range");
     }
-    bn::BigNum z = bn::modExp(peer_pub, priv, params.p);
+    bn::BigNum z = bn::bn32Engine().modExp(peer_pub, priv, params.p);
     return z.toBytesBE(); // leading zeros stripped (RFC 2246 8.1.2)
 }
 

@@ -20,9 +20,9 @@
  * resolves it inline, a pool-backed decorator (serve::PooledProvider)
  * completes it on a crypto thread.
  *
- * Each provider also names the bignum backend its public-key math runs
- * on (bnEngine()); both shipped providers pin bn32 so the Table 7/8
- * profiles stay anchored.
+ * A provider does not choose the bignum backend: an RSA private-key
+ * operation runs on its key's engine (RsaPrivateKey::bnEngine()), and
+ * DH and the RSA public op run on bn32.
  *
  * The record MAC is a first-class provider operation (rather than a
  * digest-level composition at the call site) because it is the unit a
@@ -260,12 +260,11 @@ class Provider
                                  Bytes digest_data);
 
     /**
-     * The bignum backend this provider's public-key math runs on. The
-     * base (and so both shipped providers) reports bn32 — keeping the
-     * Table 7/8 profiling anchor bit-for-bit unchanged. Callers
-     * driving engine-sensitive work outside the provider surface (DHE
-     * key agreement, PKI verification via the free bn::modExp) wrap it
-     * in bn::EngineScope(provider.bnEngine()).
+     * A backend this provider reports; the base (and so every shipped
+     * provider) says bn32. Informational only: it selects nothing. A
+     * private-key operation runs on the key's own engine
+     * (RsaPrivateKey::bnEngine()), and keyless public-key math (DH,
+     * the RSA public op) runs on bn32.
      */
     virtual const bn::Engine &bnEngine() const;
 };

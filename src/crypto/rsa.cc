@@ -14,9 +14,9 @@ namespace ssla::crypto
 using bn::BigNum;
 
 RsaPrivateKey::RsaPrivateKey(BigNum n, BigNum e, BigNum d, BigNum p,
-                             BigNum q, const bn::Engine *engine)
-    : engine_(engine ? engine : &bn::activeEngine()), d_(std::move(d)),
-      p_(std::move(p)), q_(std::move(q))
+                             BigNum q, const bn::Engine &engine)
+    : engine_(&engine), d_(std::move(d)), p_(std::move(p)),
+      q_(std::move(q))
 {
     pub_.n = std::move(n);
     pub_.e = std::move(e);
@@ -30,15 +30,22 @@ RsaPrivateKey::RsaPrivateKey(BigNum n, BigNum e, BigNum d, BigNum p,
     dq_ = d_.mod(q1);
     qinv_ = BigNum::modInverse(q_, p_);
 
-    montN_ = std::make_unique<bn::MontgomeryCtx>(pub_.n, engine_);
-    montP_ = std::make_unique<bn::MontgomeryCtx>(p_, engine_);
-    montQ_ = std::make_unique<bn::MontgomeryCtx>(q_, engine_);
+    montN_ = std::make_unique<bn::MontgomeryCtx>(pub_.n, engine);
+    montP_ = std::make_unique<bn::MontgomeryCtx>(p_, engine);
+    montQ_ = std::make_unique<bn::MontgomeryCtx>(q_, engine);
 
     static obs::Counter keys32 =
         obs::MetricsRegistry::global().counter("bn.keys.bn32");
     static obs::Counter keys64 =
         obs::MetricsRegistry::global().counter("bn.keys.bn64");
     (engine_->backend() == bn::BnBackend::Bn64 ? keys64 : keys32).inc();
+}
+
+std::unique_ptr<RsaPrivateKey>
+RsaPrivateKey::replica() const
+{
+    return std::make_unique<RsaPrivateKey>(pub_.n, pub_.e, d_, p_, q_,
+                                           *engine_);
 }
 
 void
@@ -122,7 +129,9 @@ rsaGenerateKey(size_t bits, const bn::RngFunc &rng, uint64_t e)
         BigNum d = BigNum::modInverse(pub_e, phi);
 
         RsaKeyPair pair;
-        pair.priv = std::make_shared<RsaPrivateKey>(n, pub_e, d, p, q);
+        pair.priv =
+            std::make_shared<RsaPrivateKey>(n, pub_e, d, p, q,
+                                            bn::bn32Engine());
         pair.pub = pair.priv->publicKey();
         return pair;
     }
@@ -133,7 +142,7 @@ rsaPublicRaw(const RsaPublicKey &key, const BigNum &m)
 {
     if (m.isNegative() || m.cmpAbs(key.n) >= 0)
         throw std::domain_error("RSA: input out of range");
-    return bn::modExp(m, key.e, key.n);
+    return bn::bn32Engine().modExp(m, key.e, key.n);
 }
 
 Bytes

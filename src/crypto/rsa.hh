@@ -53,14 +53,19 @@ class RsaPrivateKey
   public:
     /**
      * Assemble from components (validates basic consistency). All
-     * Montgomery contexts bind to @p engine — nullptr selects the
-     * calling thread's bn::activeEngine() (bn32 unless overridden), so
-     * existing call sites keep the paper-era core. CryptoPool thread
-     * replicas clone with the source key's engine so the backend
-     * survives replication.
+     * Montgomery contexts bind to @p engine, which is the backend every
+     * private-key operation on this key runs on.
      */
     RsaPrivateKey(bn::BigNum n, bn::BigNum e, bn::BigNum d, bn::BigNum p,
-                  bn::BigNum q, const bn::Engine *engine = nullptr);
+                  bn::BigNum q, const bn::Engine &engine);
+
+    /**
+     * An independent copy for another thread: same components, same
+     * engine, its own Montgomery scratch and fresh blinding. Every
+     * per-thread replica (ServeEngine workers, CryptoPool threads) is
+     * made here, so the backend survives replication.
+     */
+    std::unique_ptr<RsaPrivateKey> replica() const;
 
     /** The bignum backend this key's Montgomery contexts run on. */
     const bn::Engine &bnEngine() const { return *engine_; }
@@ -105,7 +110,9 @@ struct RsaKeyPair
 };
 
 /**
- * Generate an RSA key pair.
+ * Generate an RSA key pair. The private key runs on bn32, the paper's
+ * profiling anchor; re-key through the RsaPrivateKey constructor to
+ * serve it on another engine.
  *
  * @param bits modulus size (e.g. 512, 1024 — the paper's two sizes)
  * @param rng randomness source for the primes
@@ -114,7 +121,7 @@ struct RsaKeyPair
 RsaKeyPair rsaGenerateKey(size_t bits, const bn::RngFunc &rng,
                           uint64_t e = 65537);
 
-/** The raw public-key operation m^e mod n. */
+/** The raw public-key operation m^e mod n (on bn32). */
 bn::BigNum rsaPublicRaw(const RsaPublicKey &key, const bn::BigNum &m);
 
 /** PKCS#1 v1.5 encryption of @p data under the public key. */

@@ -464,13 +464,10 @@ CryptoPool::workerLoop(size_t index)
                 replicaOrder.erase(replicaOrder.begin());
                 replicas_.fetch_sub(1, std::memory_order_relaxed);
             }
-            // Replicas inherit the source key's bn engine, so a bn64
-            // (fast-provider) key stays bn64 across the pool and a
-            // paper-era bn32 key keeps its profiling anchor.
-            auto clone = std::make_unique<crypto::RsaPrivateKey>(
-                key->publicKey().n, key->publicKey().e, key->d(),
-                key->p(), key->q(), &key->bnEngine());
-            it = replicas.emplace(key, std::move(clone)).first;
+            // replica() keeps the source key's bn engine, so a bn64 key
+            // stays bn64 across the pool and a paper-era bn32 key keeps
+            // its profiling anchor.
+            it = replicas.emplace(key, key->replica()).first;
             replicaOrder.push_back(key);
             replicas_.fetch_add(1, std::memory_order_relaxed);
         }

@@ -517,12 +517,6 @@ class PooledProvider final : public crypto::Provider
                                     Bytes cipher) override;
     crypto::RsaJob submitRsaSign(const crypto::RsaPrivateKey &key,
                                  Bytes digest_data) override;
-    /** The wrapped provider's backend (pool replicas follow the key). */
-    const bn::Engine &
-    bnEngine() const override
-    {
-        return inner_.bnEngine();
-    }
 
   private:
     CryptoPool &pool_;

@@ -288,22 +288,6 @@ struct ServeEngine::Impl
             sessions[sessionOverwrite++ % sessionRingCap] = s;
     }
 
-    /**
-     * Per-worker private-key replica. RsaPrivateKey carries mutable
-     * blinding and Montgomery scratch state (single-owner by the bn
-     * contract), so workers must not share the configured key object:
-     * in the synchronous path every worker thread decrypts with its
-     * server's key directly. Same rule the CryptoPool applies
-     * per pool thread.
-     */
-    std::shared_ptr<crypto::RsaPrivateKey>
-    cloneKey() const
-    {
-        const crypto::RsaPrivateKey &k = *cfg.privateKey;
-        return std::make_shared<crypto::RsaPrivateKey>(
-            k.publicKey().n, k.publicKey().e, k.d(), k.p(), k.q());
-    }
-
     /** Deterministic per-connection seed: replay from cfg.seed alone. */
     uint64_t
     connSeed(size_t worker_id, size_t serial) const
@@ -551,7 +535,13 @@ struct ServeEngine::Impl
         try {
             const bool tolerate =
                 cfg.tolerateFailures || cfg.faultPlan != nullptr;
-            const auto worker_key = cloneKey();
+            // RsaPrivateKey carries mutable blinding and Montgomery
+            // scratch (single-owner by the bn contract), so each worker
+            // decrypts with its own replica of the configured key, as
+            // each CryptoPool thread does. replica() keeps the key's
+            // bignum backend.
+            const std::shared_ptr<crypto::RsaPrivateKey> worker_key =
+                cfg.privateKey->replica();
             const Bytes payload(cfg.recordBytes, 0xab);
             std::vector<ConstSpan> iovScratch; // reused across pumps
             std::vector<std::unique_ptr<Conn>> slots(

@@ -48,6 +48,8 @@ struct WebSimulator::Impl
         bn::RngFunc rf = [&rng](uint8_t *out, size_t len) {
             rng.fill(out, len);
         };
+        // bn32: the web simulator reproduces the paper's Table 1
+        // anatomy, which is anchored to the 32-bit-limb core.
         serverKey = crypto::rsaGenerateKey(cfg.rsaBits, rf);
 
         pki::CertificateInfo info;

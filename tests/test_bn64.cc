@@ -10,11 +10,8 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "bn/engine.hh"
 #include "bn/kernels64.hh"
-#include "bn/modexp.hh"
 #include "bn/montgomery.hh"
 #include "util/rng.hh"
 
@@ -203,8 +200,8 @@ TEST(Bn64Mont, MulSqrToFromMontDifferential)
     // differ (2^1056 vs 2^1088) yet the arithmetic must still agree.
     for (size_t bits : {64u, 512u, 1024u, 1056u}) {
         BigNum m = randomOddModulus(rng, bits);
-        bn::MontgomeryCtx ctx32(m, &bn::bn32Engine());
-        bn::MontgomeryCtx ctx64(m, &bn::bn64Engine());
+        bn::MontgomeryCtx ctx32(m, bn::bn32Engine());
+        bn::MontgomeryCtx ctx64(m, bn::bn64Engine());
         ASSERT_EQ(&ctx32.engine(), &bn::bn32Engine());
         ASSERT_EQ(&ctx64.engine(), &bn::bn64Engine());
         EXPECT_EQ(ctx32.core64(), nullptr);
@@ -234,7 +231,7 @@ TEST(Bn64Mont, Raw32InterfaceRefusedOnBn64Context)
     // The 32-bit fixed-width hot path has no meaning on a 64-bit core:
     // misuse must fail loudly, not corrupt.
     BigNum m = BigNum::fromHex("f123456789abcdef1");
-    bn::MontgomeryCtx ctx(m, &bn::bn64Engine());
+    bn::MontgomeryCtx ctx(m, bn::bn64Engine());
     BigNum a(42);
     EXPECT_THROW(ctx.toRaw(a), std::logic_error);
     EXPECT_THROW(ctx.fromRaw(bn::MontgomeryCtx::Raw{}), std::logic_error);
@@ -278,8 +275,6 @@ TEST(Bn64ModExp, EvenModulusFallsBackConsistently)
     BigNum exp = randomBits(rng, 64);
     EXPECT_EQ(bn::bn64Engine().modExp(base, exp, m),
               bn::bn32Engine().modExp(base, exp, m));
-    EXPECT_EQ(bn::bn64Engine().modExp(base, exp, m),
-              bn::modExp(base, exp, m));
 }
 
 TEST(Bn64ModExp, IdenticalOpSequenceConverges)
@@ -304,7 +299,7 @@ TEST(Bn64ModExp, IdenticalOpSequenceConverges)
 }
 
 // ---------------------------------------------------------------------
-// Engine identity and thread-local selection
+// Engine identity
 
 TEST(Bn64Engine, RegistryNamesAndLookup)
 {
@@ -312,30 +307,6 @@ TEST(Bn64Engine, RegistryNamesAndLookup)
     EXPECT_EQ(bn::bn64Engine().limbBits(), 64u);
     EXPECT_STREQ(bn::bn32Engine().name(), "bn32");
     EXPECT_STREQ(bn::bn64Engine().name(), "bn64");
-}
-
-TEST(Bn64Engine, ScopeSwitchesActiveEnginePerThread)
-{
-    EXPECT_EQ(&bn::activeEngine(), &bn::bn32Engine());
-    {
-        bn::EngineScope scope(bn::bn64Engine());
-        EXPECT_EQ(&bn::activeEngine(), &bn::bn64Engine());
-        // A default-engine MontgomeryCtx follows the scope.
-        bn::MontgomeryCtx ctx(BigNum::fromHex("f00dd00d1"));
-        EXPECT_NE(ctx.core64(), nullptr);
-        {
-            bn::EngineScope inner(bn::bn32Engine());
-            EXPECT_EQ(&bn::activeEngine(), &bn::bn32Engine());
-        }
-        EXPECT_EQ(&bn::activeEngine(), &bn::bn64Engine());
-
-        // The override is thread-local: a fresh thread sees the bn32
-        // default even while this one is scoped to bn64.
-        const bn::Engine *other = nullptr;
-        std::thread([&] { other = &bn::activeEngine(); }).join();
-        EXPECT_EQ(other, &bn::bn32Engine());
-    }
-    EXPECT_EQ(&bn::activeEngine(), &bn::bn32Engine());
 }
 
 } // anonymous namespace

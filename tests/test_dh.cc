@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bn/modexp.hh"
+#include "bn/engine.hh"
 #include "bn/prime.hh"
 #include "perf/probe.hh"
 #include "crypto/dh.hh"
@@ -49,7 +49,7 @@ TEST(Dh, KeyGeneration)
     EXPECT_GT(kp.pub, BigNum(1));
     EXPECT_LT(kp.pub, g.p);
     // pub really is g^priv mod p.
-    EXPECT_EQ(kp.pub, bn::modExp(g.g, kp.priv, g.p));
+    EXPECT_EQ(kp.pub, bn::bn32Engine().modExp(g.g, kp.priv, g.p));
 }
 
 TEST(Dh, KeysAreFresh)
@@ -94,7 +94,8 @@ TEST(Dh, SmallGroupSanity)
     Bytes z2 = dhComputeShared(g, BigNum(8), BigNum(15));
     EXPECT_EQ(z1, z2);
     EXPECT_EQ(BigNum::fromBytesBE(z1),
-              bn::modExp(BigNum(5), BigNum(90), BigNum(23)));
+              bn::bn32Engine().modExp(BigNum(5), BigNum(90),
+                                      BigNum(23)));
 }
 
 // ---- DHE handshakes ----------------------------------------------------

@@ -774,8 +774,7 @@ TEST(Cancellation, TornDownSessionsJobSkipsFreedKey)
     // A private key whose lifetime this test controls (the configured
     // keys are process-static and would mask a use-after-free).
     const crypto::RsaPrivateKey &k = *test::testKey512().priv;
-    auto key = std::make_shared<crypto::RsaPrivateKey>(
-        k.publicKey().n, k.publicKey().e, k.d(), k.p(), k.q());
+    std::shared_ptr<crypto::RsaPrivateKey> key = k.replica();
 
     ssl::BioPair wires;
     ssl::ServerConfig scfg;
@@ -813,8 +812,7 @@ TEST(Cancellation, TornDownSessionsSignJobSkipsFreedKey)
     serve::PooledProvider pooled(cp);
 
     const crypto::RsaPrivateKey &k = *test::testKey512().priv;
-    auto key = std::make_shared<crypto::RsaPrivateKey>(
-        k.publicKey().n, k.publicKey().e, k.d(), k.p(), k.q());
+    std::shared_ptr<crypto::RsaPrivateKey> key = k.replica();
 
     ssl::BioPair wires;
     ssl::ServerConfig scfg;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bn/engine.hh"
 #include "bn/kernels.hh"
 #include "bn/modexp.hh"
 #include "bn/montgomery.hh"
@@ -16,6 +17,8 @@ namespace
 
 using namespace ssla;
 using bn::BigNum;
+
+const bn::Engine &bn32 = bn::bn32Engine();
 
 /** Oracle: naive square-and-multiply with division-based reduction. */
 BigNum
@@ -73,15 +76,15 @@ TEST(Kernels, AddSubWordsInverse)
 
 TEST(Montgomery, RequiresOddModulus)
 {
-    EXPECT_THROW(bn::MontgomeryCtx(BigNum(10)), std::domain_error);
-    EXPECT_THROW(bn::MontgomeryCtx(BigNum(1)), std::domain_error);
-    EXPECT_NO_THROW(bn::MontgomeryCtx(BigNum(9)));
+    EXPECT_THROW(bn::MontgomeryCtx(BigNum(10), bn32), std::domain_error);
+    EXPECT_THROW(bn::MontgomeryCtx(BigNum(1), bn32), std::domain_error);
+    EXPECT_NO_THROW(bn::MontgomeryCtx(BigNum(9), bn32));
 }
 
 TEST(Montgomery, ToFromRoundTrip)
 {
     BigNum m = BigNum::fromDecimal("1000000000000000003"); // odd
-    bn::MontgomeryCtx ctx(m);
+    bn::MontgomeryCtx ctx(m, bn32);
     Xoshiro256 rng(1);
     for (int i = 0; i < 50; ++i) {
         BigNum a = BigNum::fromBytesBE(rng.bytes(8)).mod(m);
@@ -94,7 +97,7 @@ TEST(Montgomery, MulMatchesModMul)
     BigNum m = BigNum::fromHex("f000000000000000000000000000000d");
     if (!m.isOdd())
         m = m + BigNum(1) + BigNum(1);
-    bn::MontgomeryCtx ctx(m);
+    bn::MontgomeryCtx ctx(m, bn32);
     Xoshiro256 rng(2);
     for (int i = 0; i < 50; ++i) {
         BigNum a = BigNum::fromBytesBE(rng.bytes(16)).mod(m);
@@ -110,30 +113,30 @@ TEST(Montgomery, MulMatchesModMul)
 TEST(Montgomery, OneIsRModN)
 {
     BigNum m(101);
-    bn::MontgomeryCtx ctx(m);
+    bn::MontgomeryCtx ctx(m, bn32);
     EXPECT_EQ(ctx.fromMont(ctx.one()), BigNum(1));
 }
 
 TEST(ModExp, KnownValues)
 {
-    EXPECT_EQ(bn::modExp(BigNum(2), BigNum(10), BigNum(1000)),
+    EXPECT_EQ(bn32.modExp(BigNum(2), BigNum(10), BigNum(1000)),
               BigNum(24));
-    EXPECT_EQ(bn::modExp(BigNum(3), BigNum(0), BigNum(7)), BigNum(1));
-    EXPECT_EQ(bn::modExp(BigNum(0), BigNum(5), BigNum(7)), BigNum(0));
+    EXPECT_EQ(bn32.modExp(BigNum(3), BigNum(0), BigNum(7)), BigNum(1));
+    EXPECT_EQ(bn32.modExp(BigNum(0), BigNum(5), BigNum(7)), BigNum(0));
     // Fermat: a^(p-1) = 1 mod p.
     BigNum p = BigNum::fromDecimal("1000000007");
-    EXPECT_EQ(bn::modExp(BigNum(12345), p - BigNum(1), p), BigNum(1));
+    EXPECT_EQ(bn32.modExp(BigNum(12345), p - BigNum(1), p), BigNum(1));
 }
 
 TEST(ModExp, ModulusOneGivesZero)
 {
-    EXPECT_TRUE(bn::modExp(BigNum(5), BigNum(5), BigNum(1)).isZero());
+    EXPECT_TRUE(bn32.modExp(BigNum(5), BigNum(5), BigNum(1)).isZero());
 }
 
 TEST(ModExp, NegativeExponentThrows)
 {
     EXPECT_THROW(
-        bn::modExp(BigNum(2), BigNum::fromInt(-1), BigNum(7)),
+        bn32.modExp(BigNum(2), BigNum::fromInt(-1), BigNum(7)),
         std::domain_error);
 }
 
@@ -144,7 +147,7 @@ TEST(ModExp, EvenModulusFallback)
     for (int i = 0; i < 20; ++i) {
         BigNum b = BigNum::fromBytesBE(rng.bytes(6));
         BigNum e = BigNum::fromBytesBE(rng.bytes(2));
-        EXPECT_EQ(bn::modExp(b, e, m), naiveModExp(b, e, m));
+        EXPECT_EQ(bn32.modExp(b, e, m), naiveModExp(b, e, m));
     }
 }
 
@@ -165,7 +168,7 @@ TEST_P(ModExpProperty, MatchesNaive)
             continue;
         BigNum b = BigNum::fromBytesBE(rng.bytes(mod_bytes + 2));
         BigNum e = BigNum::fromBytesBE(rng.bytes(3));
-        EXPECT_EQ(bn::modExp(b, e, m), naiveModExp(b, e, m))
+        EXPECT_EQ(bn32.modExp(b, e, m), naiveModExp(b, e, m))
             << "modulus bytes " << mod_bytes;
     }
 }
@@ -176,7 +179,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, ModExpProperty,
 TEST(ModExp, ReusedContext)
 {
     BigNum m = BigNum::fromDecimal("999999999999999989"); // prime, odd
-    bn::MontgomeryCtx ctx(m);
+    bn::MontgomeryCtx ctx(m, bn32);
     Xoshiro256 rng(9);
     for (int i = 0; i < 10; ++i) {
         BigNum b = BigNum::fromBytesBE(rng.bytes(8));
@@ -191,8 +194,8 @@ TEST(ModExp, RsaIdentity)
     // p=61, q=53, n=3233, phi=3120, e=17, d=2753.
     BigNum n(3233), e(17), d(2753);
     for (uint64_t m = 1; m < 100; m += 7) {
-        BigNum c = bn::modExp(BigNum(m), e, n);
-        EXPECT_EQ(bn::modExp(c, d, n), BigNum(m));
+        BigNum c = bn32.modExp(BigNum(m), e, n);
+        EXPECT_EQ(bn32.modExp(c, d, n), BigNum(m));
     }
 }
 

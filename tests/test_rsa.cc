@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "bn/modexp.hh"
+#include "bn/engine.hh"
 #include "crypto/rsa.hh"
 #include "util/bytes.hh"
 #include "util/rng.hh"
@@ -60,7 +60,8 @@ TEST(RsaKeygen, PrivateKeyValidatesConsistency)
     const RsaPrivateKey &a = *test::testKey512().priv;
     // n != p*q must be rejected.
     EXPECT_THROW(RsaPrivateKey(a.publicKey().n + BigNum(2),
-                               a.publicKey().e, a.d(), a.p(), a.q()),
+                               a.publicKey().e, a.d(), a.p(), a.q(),
+                               a.bnEngine()),
                  std::invalid_argument);
 }
 
@@ -82,7 +83,7 @@ TEST(Rsa, CrtMatchesPlainModExp)
     for (int i = 0; i < 5; ++i) {
         BigNum c = BigNum::fromBytesBE(rng.bytes(50));
         BigNum via_crt = kp.priv->privateRaw(c, false);
-        BigNum plain = bn::modExp(c, kp.priv->d(), kp.pub.n);
+        BigNum plain = bn::bn32Engine().modExp(c, kp.priv->d(), kp.pub.n);
         EXPECT_EQ(via_crt, plain);
     }
 }

@@ -255,6 +255,12 @@ TEST(Overload, AdaptiveRecoversOnceQueueWaitFalls)
     adm.intervalCycles = msCycles(0.5);
     adm.deadlineBudgetCycles = UINT64_MAX / 2;
     serve::CryptoPool cp(1, 0, serve::OverloadPolicy::Adaptive, adm);
+
+    // Resumption jobs are always admitted, so they carry both the
+    // episode (a gate pickup slower than the target on a loaded host
+    // already raises shedding, which would refuse a new-full backlog)
+    // and the fresh (small) wait samples that wash out the spike.
+    serve::JobBindingScope scope({serve::JobClass::Resumption, 0});
     {
         PoolGate gate(cp);
         std::vector<crypto::RsaJob> backlog;
@@ -267,27 +273,41 @@ TEST(Overload, AdaptiveRecoversOnceQueueWaitFalls)
     }
     ASSERT_TRUE(cp.adaptiveShedding());
 
-    // Resumption jobs are always admitted, so they can carry the
-    // fresh (small) wait samples that wash out the spike. First
-    // overwrite the whole sample ring with small waits: until the
-    // episode's 20ms samples are gone, any recompute (including the
-    // one a later submit can trigger) may legitimately re-assert
+    // First overwrite the whole sample ring with small waits: until
+    // the episode's 20ms samples are gone, any recompute (including
+    // the one a later submit can trigger) may legitimately re-assert
     // shedding from the stale window.
-    serve::JobBindingScope scope({serve::JobClass::Resumption, 0});
-    for (int i = 0; i < 80; ++i)
-        cp.submitRaw([] { return Bytes(); }).wait();
-    for (int i = 0; i < 150 && cp.adaptiveShedding(); ++i) {
-        crypto::RsaJob j = cp.submitRaw([] { return Bytes(); });
-        j.wait();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_FALSE(cp.adaptiveShedding());
+    //
+    // The window holds 64 samples, so its "p99" is its maximum: one
+    // scheduler hiccup past the target during the wash re-asserts
+    // shedding by design. A refusal with the p99 above target is that
+    // case (the wash failed, not the recovery), so wash again; a
+    // refusal with the p99 at or under target is a real failure.
+    bool admitted = false;
+    for (int round = 0; round < 5 && !admitted; ++round) {
+        for (int i = 0; i < 80; ++i)
+            cp.submitRaw([] { return Bytes(); }).wait();
+        for (int i = 0; i < 150 && cp.adaptiveShedding(); ++i) {
+            crypto::RsaJob j = cp.submitRaw([] { return Bytes(); });
+            j.wait();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
 
-    // And new-full work is admitted again.
-    serve::JobBindingScope full(
-        {serve::JobClass::NewFullHandshake, 0});
-    crypto::RsaJob ok = cp.submitRaw([] { return toBytes("again"); });
-    EXPECT_EQ(ok.wait(), toBytes("again"));
+        // And new-full work is admitted again.
+        serve::JobBindingScope full(
+            {serve::JobClass::NewFullHandshake, 0});
+        crypto::RsaJob ok = cp.submitRaw([] { return toBytes("again"); });
+        try {
+            EXPECT_EQ(ok.wait(), toBytes("again"));
+            admitted = true;
+        } catch (const crypto::ProviderOverloadError &) {
+            ASSERT_GT(cp.queueWaitP99Cycles(), adm.targetDelayCycles)
+                << "new-full refused with the queue-wait p99 at or "
+                   "under target (round "
+                << round << ")";
+        }
+    }
+    EXPECT_TRUE(admitted) << "new-full refused in every wash round";
 }
 
 TEST(Overload, AdaptiveFullQueueKeepsInvestedClasses)
@@ -388,16 +408,36 @@ TEST(Supervisor, ExternalHeartbeatStallsAreCounted)
     scfg.stallThresholdCycles = msCycles(1.0);
     serve::Supervisor sup(cp, scfg);
 
+    // Stamps are chosen, not timed: 0 is stale under any threshold,
+    // and a stamp a second ahead reads as age 0. Each step waits for
+    // two more polls, so at least one whole poll ran after the store.
     std::atomic<uint64_t> *hb = sup.watch("test-worker");
-    hb->store(rdcycles(), std::memory_order_relaxed);
+    auto settle = [&](uint64_t n) {
+        const uint64_t p0 = sup.polls();
+        waitFor([&] { return sup.polls() >= p0 + n; }, "supervisor polls");
+    };
+    auto markFresh = [&] {
+        hb->store(rdcycles() + msCycles(1000.0), std::memory_order_relaxed);
+        settle(2);
+    };
+    auto markStale = [&] {
+        hb->store(0, std::memory_order_relaxed);
+        settle(2);
+    };
+
     // Stop stamping: the slot goes stale and must be counted as one
     // stall episode (edge-triggered, not once per poll).
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    markStale();
     EXPECT_EQ(sup.externalStalls(), 1u);
 
     // Recover, then stall again: a second episode.
-    hb->store(rdcycles(), std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    markFresh();
+    EXPECT_EQ(sup.externalStalls(), 1u);
+    markStale();
+    EXPECT_EQ(sup.externalStalls(), 2u);
+
+    // Staying stale is still the same episode.
+    settle(5);
     EXPECT_EQ(sup.externalStalls(), 2u);
 }
 
@@ -493,8 +533,7 @@ TEST(CryptoPoolRace, ReplicaCacheStaysBoundedUnderKeyChurn)
     const crypto::RsaPrivateKey &k = *test::testKey512().priv;
     std::vector<std::shared_ptr<crypto::RsaPrivateKey>> keys;
     for (int i = 0; i < 12; ++i)
-        keys.push_back(std::make_shared<crypto::RsaPrivateKey>(
-            k.publicKey().n, k.publicKey().e, k.d(), k.p(), k.q()));
+        keys.push_back(k.replica());
 
     crypto::RandomPool rand{toBytes("replica-churn")};
     Bytes plain = rand.bytes(16);

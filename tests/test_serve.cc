@@ -3,7 +3,8 @@
  * Serving-layer tests: CryptoPool correctness, the server's parking
  * protocol on asynchronous RSA, transcript identity between the
  * synchronous and offloaded key-exchange paths, and the ServeEngine
- * end to end (single- and multi-worker, resumption across workers).
+ * end to end (single- and multi-worker, resumption across workers, the
+ * key's bignum backend on every worker and pool replica).
  */
 
 #include <gtest/gtest.h>
@@ -11,8 +12,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 
+#include "bn/engine.hh"
+#include "crypto/provider.hh"
+#include "obs/metrics.hh"
 #include "serve/engine.hh"
 #include "ssl/client.hh"
 #include "ssl/server.hh"
@@ -106,18 +111,12 @@ TEST(CryptoPool, DestructorCompletesPendingJobs)
 }
 
 // ---------------------------------------------------------------------
-// Parking protocol
+// Test decorators
 
-/**
- * Provider whose submitRsaDecrypt hands back a job the test resolves
- * by hand, so the AwaitPreMaster state is observable deterministically
- * (a real pool may finish before the worker's next poll).
- */
-class StallProvider : public crypto::Provider
+/** Forwards every operation to the scalar provider. */
+class ForwardingProvider : public crypto::Provider
 {
   public:
-    const char *name() const override { return "stall"; }
-
     std::unique_ptr<crypto::Cipher>
     createCipher(crypto::CipherAlg alg, const Bytes &key,
                  const Bytes &iv, bool encrypt) override
@@ -152,6 +151,23 @@ class StallProvider : public crypto::Provider
     {
         return inner_.rsaSign(key, digest_data);
     }
+
+  protected:
+    crypto::Provider &inner_ = crypto::scalarProvider();
+};
+
+// ---------------------------------------------------------------------
+// Parking protocol
+
+/**
+ * Provider whose submitRsaDecrypt hands back a job the test resolves
+ * by hand, so the AwaitPreMaster state is observable deterministically
+ * (a real pool may finish before the worker's next poll).
+ */
+class StallProvider : public ForwardingProvider
+{
+  public:
+    const char *name() const override { return "stall"; }
 
     crypto::RsaJob
     submitRsaDecrypt(const crypto::RsaPrivateKey &key,
@@ -208,7 +224,6 @@ class StallProvider : public crypto::Provider
     }
 
   private:
-    crypto::Provider &inner_ = crypto::scalarProvider();
     const crypto::RsaPrivateKey *pendingKey_ = nullptr;
     Bytes pendingInput_;
     bool pendingIsSign_ = false;
@@ -611,6 +626,89 @@ TEST(ServeEngine, ExternalStoreIsUsed)
     engine.run();
     EXPECT_EQ(&engine.sessionStore(), &store);
     EXPECT_GT(store.size(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The serving key's bignum backend survives per-thread replication
+
+/** The test key's components on bn64 (same modulus as testServerCert). */
+std::shared_ptr<crypto::RsaPrivateKey>
+bn64ServerKey()
+{
+    const crypto::RsaPrivateKey &k = *test::testKey1024().priv;
+    return std::make_shared<crypto::RsaPrivateKey>(
+        k.publicKey().n, k.publicKey().e, k.d(), k.p(), k.q(),
+        bn::bn64Engine());
+}
+
+/**
+ * Records the backend of the key behind every private-key decrypt the
+ * workers run.
+ */
+class BackendRecordingProvider final : public ForwardingProvider
+{
+  public:
+    std::atomic<uint64_t> bn32Decrypts{0};
+    std::atomic<uint64_t> bn64Decrypts{0};
+
+    const char *name() const override { return "backend-recording"; }
+    Bytes
+    rsaDecrypt(const crypto::RsaPrivateKey &key,
+               const Bytes &cipher) override
+    {
+        (key.bnEngine().backend() == bn::BnBackend::Bn64 ? bn64Decrypts
+                                                          : bn32Decrypts)
+            .fetch_add(1, std::memory_order_relaxed);
+        return inner_.rsaDecrypt(key, cipher);
+    }
+};
+
+TEST(ServeEngine, WorkersDecryptOnTheKeysEngine)
+{
+    BackendRecordingProvider recorder;
+    serve::ServeConfig cfg = engineConfig();
+    cfg.workers = 2;
+    cfg.connectionsPerWorker = 4;
+    cfg.bulkBytes = 0;
+    cfg.privateKey = bn64ServerKey();
+    cfg.provider = &recorder;
+    serve::ServeEngine engine(std::move(cfg));
+    serve::ServeStats stats = engine.run();
+    ASSERT_EQ(stats.fullHandshakes(), 8u);
+    // One synchronous decrypt per full handshake, each on a worker's
+    // replica of the configured key: every one must run on bn64.
+    EXPECT_EQ(recorder.bn64Decrypts.load(), 8u);
+    EXPECT_EQ(recorder.bn32Decrypts.load(), 0u);
+}
+
+TEST(ServeEngine, CryptoPoolReplicasKeepTheKeysEngine)
+{
+    // Pool threads decrypt on their own replicas, outside any provider,
+    // so the check reads the keys-built-per-backend counters: every key
+    // the run builds (worker replicas, then pool replicas of those)
+    // must be bn64.
+    auto key = bn64ServerKey(); // built before the counters are read
+    auto keysBuilt = [](const char *backend) {
+        return obs::MetricsRegistry::global().snapshot().counter(
+            std::string("bn.keys.") + backend);
+    };
+    const uint64_t bn32Before = keysBuilt("bn32");
+    const uint64_t bn64Before = keysBuilt("bn64");
+
+    serve::CryptoPool pool(1);
+    serve::ServeConfig cfg = engineConfig();
+    cfg.workers = 2;
+    cfg.connectionsPerWorker = 4;
+    cfg.bulkBytes = 0;
+    cfg.privateKey = key;
+    cfg.cryptoPool = &pool;
+    serve::ServeEngine engine(std::move(cfg));
+    serve::ServeStats stats = engine.run();
+    ASSERT_EQ(stats.fullHandshakes(), 8u);
+    ASSERT_GT(pool.completedJobs(), 0u);
+    EXPECT_EQ(keysBuilt("bn32") - bn32Before, 0u);
+    // Two worker replicas plus at least one pool replica.
+    EXPECT_GT(keysBuilt("bn64") - bn64Before, 2u);
 }
 
 // ---------------------------------------------------------------------

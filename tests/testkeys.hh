@@ -2,7 +2,8 @@
  * @file
  * Shared deterministic RSA keys and certificates for the test suite.
  * Key generation is expensive; every test that needs a key reuses
- * these lazily generated, seed-fixed instances.
+ * these lazily generated, seed-fixed instances. Every key is on bn32,
+ * the paper-era engine the Table 7/8/9 tests profile.
  */
 
 #ifndef SSLA_TESTS_TESTKEYS_HH
