@@ -1,25 +1,9 @@
 #include "crypto/md5.hh"
 
-#include <array>
-#include <cmath>
 #include <cstring>
 
 namespace ssla::crypto
 {
-
-const uint32_t *
-md5SineTable()
-{
-    static const std::array<uint32_t, 64> table = [] {
-        std::array<uint32_t, 64> t{};
-        for (int i = 0; i < 64; ++i) {
-            t[i] = static_cast<uint32_t>(
-                std::floor(std::fabs(std::sin(i + 1.0)) * 4294967296.0));
-        }
-        return t;
-    }();
-    return table.data();
-}
 
 namespace
 {

@@ -25,86 +25,60 @@ RsaJob::wait()
 }
 
 // ---------------------------------------------------------------------
-// Record MAC constructions (SSLv3 pad-concatenation MAC / TLS HMAC)
+// Record MAC (SSLv3 pad-concatenation MAC / TLS HMAC)
 
 namespace
 {
 
-/** Pad length bytes for the SSLv3 MAC (48 for MD5, 40 for SHA-1). */
+/** SSLv3 pad length: 48 bytes for MD5, 40 for SHA-1. */
 size_t
-macPadLen(DigestAlg alg)
+ssl3PadLen(DigestAlg alg)
 {
     return alg == DigestAlg::MD5 ? 48 : 40;
 }
 
+KeyedMac
+recordMacKeys(DigestAlg alg, const Bytes &secret, uint16_t version)
+{
+    if (version >= 0x0301)
+        return KeyedMac::hmac(alg, secret);
+    Bytes inner = secret;
+    inner.resize(secret.size() + ssl3PadLen(alg), 0x36);
+    Bytes outer = secret;
+    outer.resize(secret.size() + ssl3PadLen(alg), 0x5c);
+    return KeyedMac(alg, ConstSpan{inner}, ConstSpan{outer});
+}
+
 /**
- * hash(secret || pad2 || hash(secret || pad1 || seq || type || len ||
- * data)) — the SSLv3 record MAC, built from @p p 's digests, written
- * into @p mac_out.
+ * The record MAC over seq || type || [version ||] length || data, the
+ * version field present in TLS only. Both constructions are the keyed
+ * nested MAC, so they differ only in this header.
  */
 size_t
-ssl3RecordMac(Provider &p, const RecordMacSpec &spec, uint64_t seq,
-              uint8_t type, ConstSpan data, uint8_t *mac_out)
-{
-    size_t pad_len = macPadLen(spec.alg);
-
-    uint8_t header[11];
-    for (int i = 7; i >= 0; --i)
-        header[7 - i] = static_cast<uint8_t>(seq >> (8 * i));
-    header[8] = type;
-    header[9] = static_cast<uint8_t>(data.size() >> 8);
-    header[10] = static_cast<uint8_t>(data.size());
-
-    auto inner = p.createDigest(spec.alg);
-    inner->update(spec.secret);
-    Bytes pad1(pad_len, 0x36);
-    inner->update(pad1);
-    inner->update(header, sizeof(header));
-    inner->update(data.data(), data.size());
-    uint8_t inner_digest[maxRecordMacLen];
-    inner->final(inner_digest);
-
-    auto outer = p.createDigest(spec.alg);
-    outer->update(spec.secret);
-    Bytes pad2(pad_len, 0x5c);
-    outer->update(pad2);
-    outer->update(inner_digest, inner->digestSize());
-    outer->final(mac_out);
-    return outer->digestSize();
-}
-
-/** HMAC(secret, seq || type || version || length || data) — TLS 1.0. */
-size_t
-tls1RecordMac(Provider &p, const RecordMacSpec &spec, uint64_t seq,
-              uint8_t type, ConstSpan data, uint8_t *mac_out)
+computeRecordMac(const RecordMacSpec &spec, uint64_t seq, uint8_t type,
+                 ConstSpan data, uint8_t *mac_out)
 {
     uint8_t header[13];
+    size_t n = 0;
     for (int i = 7; i >= 0; --i)
-        header[7 - i] = static_cast<uint8_t>(seq >> (8 * i));
-    header[8] = type;
-    header[9] = static_cast<uint8_t>(spec.version >> 8);
-    header[10] = static_cast<uint8_t>(spec.version);
-    header[11] = static_cast<uint8_t>(data.size() >> 8);
-    header[12] = static_cast<uint8_t>(data.size());
-
-    auto hmac = p.createHmac(spec.alg, spec.secret);
-    hmac->update(header, sizeof(header));
-    hmac->update(data.data(), data.size());
-    hmac->final(mac_out);
-    return hmac->tagSize();
-}
-
-size_t
-computeRecordMacWith(Provider &p, const RecordMacSpec &spec,
-                     uint64_t seq, uint8_t type, ConstSpan data,
-                     uint8_t *mac_out)
-{
-    if (spec.version >= 0x0301)
-        return tls1RecordMac(p, spec, seq, type, data, mac_out);
-    return ssl3RecordMac(p, spec, seq, type, data, mac_out);
+        header[n++] = static_cast<uint8_t>(seq >> (8 * i));
+    header[n++] = type;
+    if (spec.version() >= 0x0301) {
+        header[n++] = static_cast<uint8_t>(spec.version() >> 8);
+        header[n++] = static_cast<uint8_t>(spec.version());
+    }
+    header[n++] = static_cast<uint8_t>(data.size() >> 8);
+    header[n++] = static_cast<uint8_t>(data.size());
+    spec.keys().compute({ConstSpan{header, n}, data}, mac_out);
+    return spec.keys().tagSize();
 }
 
 } // anonymous namespace
+
+RecordMacSpec::RecordMacSpec(DigestAlg alg, const Bytes &secret,
+                             uint16_t version)
+    : version_(version), keys_(recordMacKeys(alg, secret, version))
+{}
 
 RsaJob
 Provider::submitRsaDecrypt(const RsaPrivateKey &key, Bytes cipher)
@@ -170,7 +144,7 @@ ScalarProvider::recordMac(const RecordMacSpec &spec, uint64_t seq,
                           uint8_t type, ConstSpan data,
                           uint8_t *mac_out)
 {
-    return computeRecordMacWith(*this, spec, seq, type, data, mac_out);
+    return computeRecordMac(spec, seq, type, data, mac_out);
 }
 
 Bytes

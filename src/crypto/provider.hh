@@ -55,15 +55,27 @@ namespace ssla::crypto
 constexpr size_t maxRecordMacLen = 20;
 
 /**
- * Immutable parameters of one direction's record MAC: which digest,
- * the MAC secret, and the protocol version selecting the construction
- * (0x0300 = SSLv3 pad-concatenation MAC, 0x0301+ = TLS 1.0 HMAC).
+ * One direction's record MAC, keyed once when the direction's cipher
+ * state is installed: the protocol version selects the construction
+ * (0x0300 = SSLv3 pad-concatenation MAC, 0x0301+ = TLS 1.0 HMAC), and
+ * the MAC secret is absorbed into that construction's keyed inner and
+ * outer states (SSLv3: secret || pad1 and secret || pad2; TLS: the
+ * HMAC ipad/opad blocks). A record's MAC then hashes only its header
+ * and payload, and allocates nothing.
  */
-struct RecordMacSpec
+class RecordMacSpec
 {
-    DigestAlg alg = DigestAlg::SHA1;
-    Bytes secret;
-    uint16_t version = 0x0300;
+  public:
+    /** SHA-1 SSLv3 MAC with an empty secret (an inactive direction). */
+    RecordMacSpec() : RecordMacSpec(DigestAlg::SHA1, Bytes(), 0x0300) {}
+    RecordMacSpec(DigestAlg alg, const Bytes &secret, uint16_t version);
+
+    uint16_t version() const { return version_; }
+    const KeyedMac &keys() const { return keys_; }
+
+  private:
+    uint16_t version_;
+    KeyedMac keys_;
 };
 
 /**
@@ -137,6 +149,11 @@ class RsaJob
          * or a cancel-path resolution racing the worker's own — and
          * the loser's outcome must not clobber what a waiter already
          * observed. Late calls are silently dropped.
+         *
+         * ready is set under m: wait() tests it under m, so a waiter
+         * either sees it set or is already blocked on cv when the
+         * notify comes. Set after m is released, it could land between
+         * a waiter's test and its block, and the notify would be lost.
          */
         void
         finish(Bytes value, std::exception_ptr err)
@@ -147,8 +164,8 @@ class RsaJob
                 std::lock_guard<std::mutex> lock(m);
                 result = std::move(value);
                 error = std::move(err);
+                ready.store(true, std::memory_order_release);
             }
-            ready.store(true, std::memory_order_release);
             cv.notify_all();
         }
     };

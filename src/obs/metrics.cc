@@ -70,8 +70,11 @@ HistogramSnapshot::percentile(double p) const
             continue;
         cum += buckets[i];
         if (static_cast<double>(cum) >= rank) {
-            double lo = static_cast<double>(HistogramLayout::lowerBound(i));
-            double hi = static_cast<double>(HistogramLayout::upperBound(i));
+            const size_t layout = firstBucket + i;
+            double lo =
+                static_cast<double>(HistogramLayout::lowerBound(layout));
+            double hi =
+                static_cast<double>(HistogramLayout::upperBound(layout));
             double before = static_cast<double>(cum - buckets[i]);
             double frac =
                 (rank - before) / static_cast<double>(buckets[i]);
@@ -92,10 +95,20 @@ HistogramSnapshot::merge(const HistogramSnapshot &other)
         *this = other;
         return;
     }
-    if (buckets.size() < other.buckets.size())
-        buckets.resize(other.buckets.size(), 0);
+    // Widen this range to cover both, then add other's buckets in.
+    const size_t end = firstBucket + buckets.size();
+    const size_t lo = std::min(firstBucket, other.firstBucket);
+    const size_t hi =
+        std::max(end, other.firstBucket + other.buckets.size());
+    if (lo < firstBucket || hi > end) {
+        std::vector<uint64_t> wide(hi - lo, 0);
+        std::copy(buckets.begin(), buckets.end(),
+                  wide.begin() + (firstBucket - lo));
+        buckets = std::move(wide);
+        firstBucket = lo;
+    }
     for (size_t i = 0; i < other.buckets.size(); ++i)
-        buckets[i] += other.buckets[i];
+        buckets[other.firstBucket - firstBucket + i] += other.buckets[i];
     count += other.count;
     sum += other.sum;
     min = std::min(min, other.min);
@@ -364,16 +377,29 @@ MetricsRegistry::snapshot() const
                     cells->buckets[b].load(std::memory_order_relaxed);
             merged.merge(part);
         }
-        // Keep buckets only up to the last non-empty one: percentile()
-        // and merge() accept short vectors, and callers that keep a
-        // snapshot per run would otherwise pin all 1920 buckets each.
+        // Keep only the first to last non-empty bucket: callers that
+        // keep a snapshot per run would otherwise pin every bucket of
+        // the layout each.
         auto &b = merged.buckets;
         while (!b.empty() && b.back() == 0)
             b.pop_back();
+        const size_t lead = static_cast<size_t>(
+            std::find_if(b.begin(), b.end(),
+                         [](uint64_t n) { return n != 0; }) -
+            b.begin());
+        b.erase(b.begin(), b.begin() + static_cast<ptrdiff_t>(lead));
+        merged.firstBucket += lead;
         b.shrink_to_fit();
         out.histograms[histNames_[id]] = std::move(merged);
     }
     return out;
+}
+
+size_t
+MetricsRegistry::shardCount() const
+{
+    std::lock_guard<std::mutex> lock(m_);
+    return shards_.size();
 }
 
 // ---------------------------------------------------------------------

@@ -77,9 +77,21 @@ struct HistogramSnapshot
     uint64_t sum = 0;
     uint64_t min = 0;
     uint64_t max = 0;
-    /** Per-bucket counts; a registry snapshot ends at the last
-     *  non-empty bucket (empty when count == 0). */
+    /** Layout index (HistogramLayout) of buckets[0]. */
+    size_t firstBucket = 0;
+    /** Per-bucket counts from firstBucket on; a registry snapshot
+     *  keeps only its first to last non-empty bucket (none when
+     *  count == 0). */
     std::vector<uint64_t> buckets;
+
+    /** Count in layout bucket @p i (0 outside the kept range). */
+    uint64_t
+    bucket(size_t i) const
+    {
+        return i >= firstBucket && i - firstBucket < buckets.size()
+                   ? buckets[i - firstBucket]
+                   : 0;
+    }
 
     double
     mean() const
@@ -207,6 +219,12 @@ class MetricsRegistry
 
     /** Aggregate all shards into a consistent-enough snapshot. */
     MetricsSnapshot snapshot() const;
+
+    /**
+     * Threads that have written to this registry: each got a shard
+     * that lives as long as the registry (for global(), forever).
+     */
+    size_t shardCount() const;
 
   private:
     friend class Counter;

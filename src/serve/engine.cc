@@ -390,8 +390,11 @@ struct ServeEngine::Impl
         conn->server->bindObservability(server_obs);
         ssl::EndpointObsBinding client_obs;
         client_obs.registry = reg;
-        // No record counters for the client half: the server side
-        // already counts each direction of the shared wire once.
+        // The client half counts no records: the server side already
+        // counts each direction of the shared wire once. Its handles
+        // do nothing, rather than default to the global registry's.
+        static const ssl::RecordCounters uncounted;
+        client_obs.recordCounters = &uncounted;
         client_obs.trace = conn->trace.get();
         client_obs.side = obs::traceSideClient;
         conn->client->bindObservability(client_obs);
@@ -528,20 +531,18 @@ struct ServeEngine::Impl
         slot.reset();
     }
 
+    /**
+     * @param worker_key this worker's own replica of the configured
+     *        key (see run())
+     */
     void
-    workerRun(size_t worker_id, WorkerStats &stats,
-              std::exception_ptr &error)
+    workerRun(size_t worker_id,
+              const std::shared_ptr<crypto::RsaPrivateKey> &worker_key,
+              WorkerStats &stats, std::exception_ptr &error)
     {
         try {
             const bool tolerate =
                 cfg.tolerateFailures || cfg.faultPlan != nullptr;
-            // RsaPrivateKey carries mutable blinding and Montgomery
-            // scratch (single-owner by the bn contract), so each worker
-            // decrypts with its own replica of the configured key, as
-            // each CryptoPool thread does. replica() keeps the key's
-            // bignum backend.
-            const std::shared_ptr<crypto::RsaPrivateKey> worker_key =
-                cfg.privateKey->replica();
             const Bytes payload(cfg.recordBytes, 0xab);
             std::vector<ConstSpan> iovScratch; // reused across pumps
             std::vector<std::unique_ptr<Conn>> slots(
@@ -933,10 +934,21 @@ ServeEngine::run()
         sinkInstalled = true;
     }
 
+    // RsaPrivateKey carries mutable blinding and Montgomery scratch
+    // (single-owner by the bn contract), so each worker decrypts with
+    // its own replica of the configured key, as each CryptoPool thread
+    // does. replica() keeps the key's bignum backend. They are built
+    // here, because building one counts in the global registry: on a
+    // worker thread that would pin a registry shard per run.
+    std::vector<std::shared_ptr<crypto::RsaPrivateKey>> keys;
+    keys.reserve(n);
+    for (size_t i = 0; i < n; ++i)
+        keys.push_back(impl_->cfg.privateKey->replica());
+
     auto t0 = std::chrono::steady_clock::now();
     for (size_t i = 0; i < n; ++i)
-        threads.emplace_back([this, i, &stats, &errors] {
-            impl_->workerRun(i, stats.perWorker[i], errors[i]);
+        threads.emplace_back([this, i, &keys, &stats, &errors] {
+            impl_->workerRun(i, keys[i], stats.perWorker[i], errors[i]);
         });
     for (auto &t : threads)
         t.join();

@@ -79,19 +79,26 @@ ssl3KeyBlock(const Bytes &master, const Bytes &client_random,
 namespace
 {
 
-/** P_hash from RFC 2246 section 5. */
+/**
+ * P_hash from RFC 2246 section 5. Every HMAC in it is keyed with
+ * @p secret, so the keyed states are built once.
+ */
 Bytes
 pHash(crypto::DigestAlg alg, const Bytes &secret, const Bytes &seed,
       size_t out_len)
 {
+    const crypto::KeyedMac hmac = crypto::KeyedMac::hmac(alg, secret);
+    const size_t n = hmac.tagSize();
     Bytes out;
-    out.reserve(out_len + 20);
+    out.reserve(out_len + n);
     Bytes a = seed; // A(0)
+    Bytes next(n);
     while (out.size() < out_len) {
-        a = crypto::Hmac::compute(alg, secret, a); // A(i)
-        Bytes block_input = a;
-        append(block_input, seed);
-        append(out, crypto::Hmac::compute(alg, secret, block_input));
+        hmac.compute({ConstSpan{a}}, next.data()); // A(i)
+        a = next;
+        const size_t at = out.size();
+        out.resize(at + n);
+        hmac.compute({ConstSpan{a}, ConstSpan{seed}}, out.data() + at);
     }
     out.resize(out_len);
     return out;

@@ -111,7 +111,7 @@ struct RecordCipherState
     const CipherSuite *suite = nullptr;
     crypto::Provider *provider = nullptr; ///< engine serving this direction
     std::unique_ptr<crypto::Cipher> cipher;
-    crypto::RecordMacSpec macSpec; ///< digest, secret, MAC construction
+    crypto::RecordMacSpec macSpec; ///< keyed MAC states, construction
     uint64_t seq = 0;
 
     bool active() const { return suite != nullptr; }

@@ -6,18 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <string>
 
 #include "crypto/cipher.hh"
 #include "crypto/des.hh"
 #include "crypto/provider.hh"
+#include "openssl_cli.hh"
 #include "util/hex.hh"
 #include "util/rng.hh"
 
@@ -237,42 +232,15 @@ TEST(DesCbc, DecryptInPlaceOddBlockCounts)
     }
 }
 
-/** Whether the OpenSSL command-line tool is on PATH. */
-bool
-haveOpensslCli()
-{
-    return std::system("command -v openssl >/dev/null 2>&1") == 0;
-}
-
 /** Run `openssl enc -des-ede3-cbc -nopad` over @p in; nullopt on failure. */
 std::optional<Bytes>
 opensslDes3Cbc(const Bytes &key, const Bytes &iv, const Bytes &in,
                bool decrypt)
 {
-    namespace fs = std::filesystem;
-    const fs::path dir = fs::temp_directory_path() /
-                         ("ssla_des3_oracle_" + std::to_string(::getpid()));
-    fs::create_directories(dir);
-    const fs::path src = dir / "in.bin";
-    const fs::path dst = dir / "out.bin";
-    {
-        std::ofstream f(src, std::ios::binary);
-        f.write(reinterpret_cast<const char *>(in.data()),
-                static_cast<std::streamsize>(in.size()));
-    }
-    const std::string cmd = std::string("openssl enc -des-ede3-cbc") +
-                            (decrypt ? " -d" : "") + " -nopad -K " +
-                            hexEncode(key) + " -iv " + hexEncode(iv) +
-                            " -in '" + src.string() + "' -out '" +
-                            dst.string() + "' 2>/dev/null";
-    std::optional<Bytes> out;
-    if (std::system(cmd.c_str()) == 0) {
-        std::ifstream f(dst, std::ios::binary);
-        out = Bytes(std::istreambuf_iterator<char>(f),
-                    std::istreambuf_iterator<char>());
-    }
-    fs::remove_all(dir);
-    return out;
+    return test::runOpenssl(std::string("enc -des-ede3-cbc") +
+                                (decrypt ? " -d" : "") + " -nopad -K " +
+                                hexEncode(key) + " -iv " + hexEncode(iv),
+                            in);
 }
 
 TEST(DesCbc, MatchesOpensslCli)
@@ -280,7 +248,7 @@ TEST(DesCbc, MatchesOpensslCli)
     // External oracle: our 3DES-CBC must agree with the OpenSSL CLI
     // byte for byte, both directions, including a record split across
     // two process() calls.
-    if (!haveOpensslCli())
+    if (!test::haveOpensslCli())
         GTEST_SKIP() << "openssl not on PATH";
     Xoshiro256 rng(23);
     for (size_t blocks : {1u, 2u, 3u, 2047u}) {

@@ -150,7 +150,34 @@ TEST(ObsHistogram, MergeEquivalence)
     EXPECT_EQ(merged.sum, all.sum);
     EXPECT_EQ(merged.min, all.min);
     EXPECT_EQ(merged.max, all.max);
+    EXPECT_EQ(merged.firstBucket, all.firstBucket);
     EXPECT_EQ(merged.buckets, all.buckets);
+}
+
+/** @p h with every bucket of the layout, as snapshots once carried. */
+HistogramSnapshot
+denseForm(const HistogramSnapshot &h)
+{
+    HistogramSnapshot dense = h;
+    dense.firstBucket = 0;
+    dense.buckets.assign(HistogramLayout::bucketCount, 0);
+    for (size_t i = 0; i < HistogramLayout::bucketCount; ++i)
+        dense.buckets[i] = h.bucket(i);
+    return dense;
+}
+
+/** Same samples: every statistic and every layout bucket agree. */
+void
+expectSameHistogram(const HistogramSnapshot &a, const HistogramSnapshot &b)
+{
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.sum, b.sum);
+    EXPECT_EQ(a.min, b.min);
+    EXPECT_EQ(a.max, b.max);
+    for (size_t i = 0; i < HistogramLayout::bucketCount; ++i)
+        ASSERT_EQ(a.bucket(i), b.bucket(i)) << "bucket " << i;
+    for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0})
+        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
 }
 
 TEST(ObsHistogram, SnapshotEndsAtLastNonEmptyBucket)
@@ -166,35 +193,64 @@ TEST(ObsHistogram, SnapshotEndsAtLastNonEmptyBucket)
     obs::MetricsSnapshot snap = reg.snapshot();
     HistogramSnapshot trimmed = snap.histogram("h");
     ASSERT_FALSE(trimmed.buckets.empty());
-    EXPECT_EQ(trimmed.buckets.size(),
+    EXPECT_EQ(trimmed.firstBucket + trimmed.buckets.size(),
               HistogramLayout::bucketIndex(trimmed.max) + 1);
     EXPECT_NE(trimmed.buckets.back(), 0u);
     EXPECT_LT(trimmed.buckets.size(), HistogramLayout::bucketCount);
     EXPECT_TRUE(snap.histogram("never").buckets.empty());
 
+    // The snapshot also starts at its first non-empty bucket.
+    HistogramSnapshot wide = snap.histogram("other");
+    EXPECT_EQ(wide.firstBucket, HistogramLayout::bucketIndex(wide.min));
+    EXPECT_GT(wide.firstBucket, 0u);
+    EXPECT_NE(wide.buckets.front(), 0u);
+
     // The dense form the snapshot used to carry reads the same.
-    HistogramSnapshot dense = trimmed;
-    dense.buckets.resize(HistogramLayout::bucketCount, 0);
-    for (double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0})
-        EXPECT_EQ(trimmed.percentile(p), dense.percentile(p)) << "p" << p;
+    HistogramSnapshot dense = denseForm(trimmed);
+    expectSameHistogram(trimmed, dense);
 
     // Merges agree whichever side is short.
-    HistogramSnapshot wide = snap.histogram("other");
     HistogramSnapshot a = trimmed;
     a.merge(wide);
     HistogramSnapshot b = wide;
     b.merge(dense);
-    while (b.buckets.size() > a.buckets.size()) {
-        EXPECT_EQ(b.buckets.back(), 0u);
-        b.buckets.pop_back();
+    expectSameHistogram(a, b);
+}
+
+TEST(ObsHistogram, MergeAndPercentileMatchDenseForm)
+{
+    // Snapshots over disjoint, nested and overlapping value ranges,
+    // merged in both orders: the kept-range form must equal the dense
+    // form bucket for bucket, and so percentile for percentile.
+    MetricsRegistry reg;
+    const struct
+    {
+        const char *name;
+        uint64_t lo, span;
+    } ranges[] = {{"low", 0, 40},          {"mid", 5000, 90000},
+                  {"high", 1u << 30, 1u << 28}, {"nested", 20000, 100},
+                  {"spanning", 10, 1u << 31}};
+    Xoshiro256 rng(0xde45e);
+    for (const auto &r : ranges) {
+        obs::Histogram h = reg.histogram(r.name);
+        for (int n = 0; n < 2000; ++n)
+            h.record(r.lo + rng.next() % r.span);
     }
-    EXPECT_EQ(a.buckets, b.buckets);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.sum, b.sum);
-    EXPECT_EQ(a.min, b.min);
-    EXPECT_EQ(a.max, b.max);
-    for (double p : {1.0, 50.0, 99.0})
-        EXPECT_EQ(a.percentile(p), b.percentile(p)) << "p" << p;
+    const obs::MetricsSnapshot snap = reg.snapshot();
+    for (const auto &x : ranges) {
+        for (const auto &y : ranges) {
+            HistogramSnapshot kept = snap.histogram(x.name);
+            kept.merge(snap.histogram(y.name));
+            HistogramSnapshot dense = denseForm(snap.histogram(x.name));
+            dense.merge(denseForm(snap.histogram(y.name)));
+            SCOPED_TRACE(std::string(x.name) + " + " + y.name);
+            expectSameHistogram(kept, dense);
+            // Merging into an empty snapshot keeps the range as is.
+            HistogramSnapshot empty;
+            empty.merge(kept);
+            expectSameHistogram(empty, dense);
+        }
+    }
 }
 
 TEST(ObsHistogram, ConcurrentHammer)

@@ -315,8 +315,18 @@ TEST(Overload, AdaptiveFullQueueKeepsInvestedClasses)
     // At the hard queue bound, Adaptive rejects a new-full submit fast
     // but hands invested classes back to the caller (sync fallback),
     // mirroring Shed.
+    //
+    // Only the queue bound may refuse here, so the queue-wait control
+    // loop gets a target no gate pickup can reach and no deadline. With
+    // the ~2 ms default, a slow pickup raised shedding and the filler
+    // was refused at admission; a quiet interval then cleared the flag,
+    // `rejected` was admitted behind the gate, and its wait() blocked
+    // on a gate released only afterwards.
+    serve::AdmissionControl adm;
+    adm.targetDelayCycles = UINT64_MAX / 4;
+    adm.deadlineBudgetCycles = UINT64_MAX / 2;
     serve::CryptoPool cp(1, /*max_queue=*/1,
-                         serve::OverloadPolicy::Adaptive);
+                         serve::OverloadPolicy::Adaptive, adm);
     PoolGate gate(cp);
     crypto::RsaJob filler = cp.submitRaw([] { return Bytes(); });
 

@@ -711,6 +711,28 @@ TEST(ServeEngine, CryptoPoolReplicasKeepTheKeysEngine)
     EXPECT_GT(keysBuilt("bn64") - bn64Before, 2u);
 }
 
+TEST(ServeEngine, RunOnItsOwnRegistryAddsNoGlobalShard)
+{
+    // Every thread that writes to a registry gets a shard the registry
+    // keeps; the global one is never destroyed. A run wired to its own
+    // registry must leave the global one alone, or each run's fresh
+    // workers pin two more shards for the life of the process.
+    obs::MetricsRegistry registry;
+    serve::ServeConfig cfg = engineConfig();
+    cfg.workers = 2;
+    cfg.metrics = &registry;
+    // This thread builds the worker key replicas, which count in the
+    // global registry: give it its shard before the count is read.
+    cfg.privateKey->replica();
+    const size_t before = obs::MetricsRegistry::global().shardCount();
+
+    serve::ServeEngine engine(std::move(cfg));
+    serve::ServeStats stats = engine.run();
+    EXPECT_EQ(stats.fullHandshakes() + stats.resumedHandshakes(), 24u);
+    EXPECT_GT(stats.metrics.counter("record.records_out"), 0u);
+    EXPECT_EQ(obs::MetricsRegistry::global().shardCount(), before);
+}
+
 // ---------------------------------------------------------------------
 // Data-plane session mode (batched gather flush)
 
