@@ -50,7 +50,6 @@
 #include "crypto/rsa.hh"
 #include "obs/export.hh"
 #include "obs/metrics.hh"
-#include "serve/breaker.hh"
 #include "serve/engine.hh"
 #include "serve/supervisor.hh"
 #include "util/cycles.hh"

@@ -29,7 +29,6 @@ traceEventKindName(TraceEventKind kind)
     case TraceEventKind::Teardown: return "Teardown";
     case TraceEventKind::LogMessage: return "LogMessage";
     case TraceEventKind::ThreadRestart: return "ThreadRestart";
-    case TraceEventKind::BreakerTransition: return "BreakerTransition";
     }
     return "Unknown";
 }

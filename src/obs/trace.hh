@@ -57,7 +57,6 @@ enum class TraceEventKind : uint8_t
     Teardown,       ///< session torn down (label = why)
     LogMessage,     ///< captured warn()/inform() text
     ThreadRestart,  ///< supervisor reaped + respawned a crypto thread
-    BreakerTransition, ///< accept-gate breaker changed state (label)
 };
 
 /** Static name of an event kind (for exporters). */

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "perf/probe.hh"
-#include "serve/breaker.hh"
 #include "serve/supervisor.hh"
 #include "ssl/client.hh"
 #include "ssl/server.hh"
@@ -168,20 +167,10 @@ ServeStats::dataPlaneRecords() const
 }
 
 uint64_t
-ServeStats::refusedSessions() const
-{
-    uint64_t n = 0;
-    for (const auto &w : perWorker)
-        n += w.refusedSessions;
-    return n;
-}
-
-uint64_t
 ServeStats::terminatedSessions() const
 {
     return fullHandshakes() + resumedHandshakes() +
-           failedHandshakes() + timedOutSessions() +
-           refusedSessions();
+           failedHandshakes() + timedOutSessions();
 }
 
 double
@@ -246,6 +235,9 @@ struct ServeEngine::Impl
         bool everParked = false;
         bool hsLatencyRecorded = false;///< handshake histogram done
         uint64_t startSweep = 0;       ///< sweep the conn opened on
+        /** Sweep the handshake deadline counts from: startSweep moved
+         *  forward one per sweep spent parked on the crypto pool. */
+        uint64_t deadlineSweep = 0;
         uint64_t lastProgressSweep = 0;///< sweep it last advanced on
         uint64_t startCycles = 0;      ///< rdcycles() at creation
         /** Flight recorder, when this connection drew a sample slot. */
@@ -295,19 +287,6 @@ struct ServeEngine::Impl
         return mix64(cfg.seed ^ mix64((worker_id << 32) | serial));
     }
 
-    /**
-     * The connection's resumption draw. Shared by makeConn and the
-     * accept-gate pre-check so the breaker judges exactly the
-     * connection that would be built.
-     */
-    bool
-    wantsResumption(uint64_t cseed) const
-    {
-        return cfg.resumeFraction > 0.0 &&
-               static_cast<double>(mix64(cseed) % 1000) <
-                   cfg.resumeFraction * 1000.0;
-    }
-
     std::unique_ptr<Conn>
     makeConn(size_t worker_id, size_t serial,
              const std::shared_ptr<crypto::RsaPrivateKey> &worker_key)
@@ -353,7 +332,9 @@ struct ServeEngine::Impl
         ccfg.provider = provider;
         // Deterministic per-connection resumption decision; falls back
         // to a full handshake until sessions exist to offer.
-        if (wantsResumption(cseed)) {
+        if (cfg.resumeFraction > 0.0 &&
+            static_cast<double>(mix64(cseed) % 1000) <
+                cfg.resumeFraction * 1000.0) {
             ccfg.resumeSession = pickCompletedSession();
             conn->offeredResumption = ccfg.resumeSession.has_value();
         }
@@ -373,7 +354,7 @@ struct ServeEngine::Impl
         if (sampling.shouldRecord(serial)) {
             conn->trace = std::make_unique<obs::SessionTrace>(
                 (static_cast<uint64_t>(worker_id) << 32) | serial,
-                static_cast<uint32_t>(worker_id), cfg.traceCapacity);
+                static_cast<uint32_t>(worker_id));
             conn->trace->record(obs::TraceEventKind::ConnOpen,
                                 obs::traceSideEngine,
                                 conn->faultyWires ? "faulty" : "clean",
@@ -472,7 +453,7 @@ struct ServeEngine::Impl
             c.client->handshakeDone() && c.server->handshakeDone();
         if (!hs_done)
             return cfg.handshakeDeadlineTicks != 0 &&
-                   sweep - c.startSweep > cfg.handshakeDeadlineTicks;
+                   sweep - c.deadlineSweep > cfg.handshakeDeadlineTicks;
         return cfg.idleDeadlineTicks != 0 &&
                sweep - c.lastProgressSweep > cfg.idleDeadlineTicks;
     }
@@ -575,25 +556,10 @@ struct ServeEngine::Impl
                     if (!slot) {
                         if (started >= target)
                             continue;
-                        if (cfg.breaker &&
-                            !wantsResumption(
-                                connSeed(worker_id, started)) &&
-                            !cfg.breaker->admitFull()) {
-                            // Accept-gate refusal: the breaker is open
-                            // (or out of half-open probes) and this
-                            // draw is a full handshake — shed it before
-                            // a single byte moves. Resumption draws
-                            // always pass; they cost ~1/8 as much and
-                            // keep established clients served.
-                            ++started;
-                            ++completed;
-                            ++stats.refusedSessions;
-                            progress = true;
-                            continue;
-                        }
                         slot = makeConn(worker_id, started++,
                                         worker_key);
                         slot->startSweep = sweep;
+                        slot->deadlineSweep = sweep;
                         slot->lastProgressSweep = sweep;
                         progress = true;
                     }
@@ -609,8 +575,6 @@ struct ServeEngine::Impl
                           slot->server->handshakeDone()) &&
                         rdcycles() - slot->startCycles >
                             cfg.handshakeAbandonCycles) {
-                        if (cfg.breaker)
-                            cfg.breaker->noteOverloadFailure();
                         teardown(slot, stats, /*timed_out=*/true);
                         ++completed;
                         progress = true;
@@ -634,22 +598,14 @@ struct ServeEngine::Impl
                     const JobClass pumpCls =
                         slot->everParked ? JobClass::Continuation
                                          : JobClass::NewFullHandshake;
-                    JobBindingScope bindScope(
-                        {pumpCls, cfg.cryptoDeadlineBudgetCycles});
+                    JobBindingScope bindScope({pumpCls, 0});
                     try {
                         p = pumpConn(*slot, payload, iovScratch,
                                      stats);
-                    } catch (const ssl::SslError &e) {
+                    } catch (const ssl::SslError &) {
                         t_activeTrace = nullptr;
                         if (!tolerate)
                             throw;
-                        // internal_error means OUR side shed or failed
-                        // the session (overload, reaped crypto
-                        // thread): feed the breaker's trip streak.
-                        if (cfg.breaker &&
-                            e.alert() ==
-                                ssl::AlertDescription::InternalError)
-                            cfg.breaker->noteOverloadFailure();
                         // Only SslError is tolerable: the robustness
                         // contract says every malformed-input path
                         // surfaces as exactly one — anything else is a
@@ -709,9 +665,14 @@ struct ServeEngine::Impl
                                     ssl::cryptoWaitLabel(wait),
                                     slot->parkClassCode);
                         }
-                        // Parked on the pool is not a stall; deadlines
-                        // resume once the result lands.
+                        // Parked on the pool is not a stall: neither
+                        // sweep deadline ages until the result lands
+                        // (queue wait is the pool's to shed). A job
+                        // that completes between the pump and this
+                        // poll unparks the session unpumped, so
+                        // counting parked sweeps would kill it there.
                         slot->lastProgressSweep = sweep;
+                        ++slot->deadlineSweep;
                         continue;
                     }
                     if (slot->parked) {
@@ -725,15 +686,10 @@ struct ServeEngine::Impl
                         slot->parkReason = ssl::CryptoWait::None;
                     }
                     if (connFinished(*slot)) {
-                        if (slot->server->resumed()) {
+                        if (slot->server->resumed())
                             ++stats.resumedHandshakes;
-                        } else {
+                        else
                             ++stats.fullHandshakes;
-                            // Completed full handshakes are the
-                            // breaker's probe successes.
-                            if (cfg.breaker)
-                                cfg.breaker->noteFullHandshakeSuccess();
-                        }
                         offerCompletedSession(slot->server->session());
                         if (slot->trace) {
                             slot->trace->record(
@@ -803,7 +759,6 @@ struct ServeEngine::Impl
         flush("serve.failed_handshakes", stats.failedHandshakes);
         flush("serve.timed_out_sessions", stats.timedOutSessions);
         flush("serve.late_handshakes", stats.lateHandshakes);
-        flush("serve.refused_sessions", stats.refusedSessions);
         flush("serve.evicted_sessions", stats.evictedSessions);
         flush("serve.faults_injected", stats.faultsInjected);
         flush("serve.dataplane_flushes", stats.dataPlaneFlushes);
@@ -842,10 +797,8 @@ ServeEngine::ServeEngine(ServeConfig config)
     if (cfg.sessionStore) {
         impl_->store = cfg.sessionStore;
     } else {
-        impl_->internalStore = std::make_unique<ssl::ShardedSessionCache>(
-            cfg.cacheShards,
-            /*max_entries_per_shard=*/1024,
-            /*ttl_seconds=*/0);
+        impl_->internalStore =
+            std::make_unique<ssl::ShardedSessionCache>();
         impl_->store = impl_->internalStore.get();
     }
 
@@ -884,8 +837,6 @@ ServeEngine::ServeEngine(ServeConfig config)
         if (cfg.traceSink)
             cfg.cryptoPool->bindTraceSink(cfg.traceSink);
     }
-    if (cfg.breaker)
-        cfg.breaker->bindMetrics(impl_->reg);
     if (cfg.supervisor) {
         cfg.supervisor->bindMetrics(impl_->reg);
         if (cfg.traceSink)
@@ -920,10 +871,8 @@ ServeEngine::run()
 
     // Tee warn()/inform() into the active session's flight recorder
     // for the duration of the run (previous sink restored on exit).
-    LogSink prevSink;
-    bool sinkInstalled = false;
-    if (impl_->cfg.captureWarnings) {
-        prevSink = setLogSink([](LogLevel level, const std::string &msg) {
+    LogSink prevSink =
+        setLogSink([](LogLevel level, const std::string &msg) {
             if (t_activeTrace)
                 t_activeTrace->recordText(
                     obs::TraceEventKind::LogMessage,
@@ -931,8 +880,6 @@ ServeEngine::run()
                     (level == LogLevel::Warn ? "warn: " : "inform: ") +
                         msg);
         });
-        sinkInstalled = true;
-    }
 
     // RsaPrivateKey carries mutable blinding and Montgomery scratch
     // (single-owner by the bn contract), so each worker decrypts with
@@ -956,8 +903,7 @@ ServeEngine::run()
     stats.elapsedSeconds =
         std::chrono::duration<double>(t1 - t0).count();
 
-    if (sinkInstalled)
-        setLogSink(std::move(prevSink));
+    setLogSink(std::move(prevSink));
 
     for (auto &err : errors)
         if (err)

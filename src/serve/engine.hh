@@ -38,7 +38,6 @@
 namespace ssla::serve
 {
 
-class CircuitBreaker;
 class Supervisor;
 
 /** Workload and topology of one engine run. */
@@ -94,8 +93,6 @@ struct ServeConfig
      * ServeEngine::completedSessions().
      */
     std::vector<ssl::Session> resumptionSeed;
-    /** Stripe count of the internal store (when sessionStore null). */
-    size_t cacheShards = 8;
     /** Seed from which all per-connection randomness derives. */
     uint64_t seed = 0x5e17e;
 
@@ -118,12 +115,13 @@ struct ServeConfig
      */
     const ssl::FaultPlan *faultPlanReverse = nullptr;
     /**
-     * Virtual-tick handshake deadline: sweeps a connection may exist
+     * Virtual-tick handshake deadline: sweeps a connection may spend
      * before both sides reach handshakeDone (0 = no deadline; set to a
      * default when faultPlan is given). One tick = one multiplexer
      * sweep of the owning worker, which is also when staged FaultyBio
      * stalls age — so deadlines are deterministic in channel time, not
-     * wall time.
+     * wall time. Sweeps spent parked on the crypto pool do not count:
+     * queue wait is the pool's to shed, not the channel's.
      */
     size_t handshakeDeadlineTicks = 0;
     /** Sweeps without progress after the handshake before eviction. */
@@ -139,19 +137,6 @@ struct ServeConfig
 
     // --- Overload-control knobs (the self-healing control plane) ---
 
-    /**
-     * Accept-gate circuit breaker (shared across workers; not owned).
-     * When set, a connection whose deterministic draw selects a FULL
-     * handshake must pass CircuitBreaker::admitFull() before its slot
-     * is even built; a refused connection counts as refusedSessions
-     * and consumes its workload slot. Resumption draws always pass
-     * (the gate models ticket-based preferential admission — the
-     * cheapest possible shed point, before any bytes move). The
-     * engine feeds the breaker: internal_error teardowns and
-     * wall-clock abandonments count as overload failures, completed
-     * full handshakes as successes.
-     */
-    CircuitBreaker *breaker = nullptr;
     /**
      * Heartbeat supervisor (not owned; must outlive run()). Each
      * worker registers an external heartbeat slot and stamps it every
@@ -169,12 +154,6 @@ struct ServeConfig
      * still "complete").
      */
     uint64_t handshakeAbandonCycles = 0;
-    /**
-     * Per-job queue-wait budget the workers bind for their crypto
-     * submissions (0 = the pool's AdmissionControl default). Jobs
-     * whose queue wait exceeds it are deadline-shed by the pool.
-     */
-    uint64_t cryptoDeadlineBudgetCycles = 0;
 
     // --- Observability knobs (the telemetry subsystem) ---
 
@@ -210,14 +189,6 @@ struct ServeConfig
      * rate. Keeps the interesting tail observable under sampling.
      */
     bool traceKeepFailures = false;
-    /**
-     * Capture warn()/inform() text into the active session's trace for
-     * the duration of run() (installs a process-wide log sink and
-     * restores the previous one on exit).
-     */
-    bool captureWarnings = true;
-    /** Ring capacity (events) of each per-session trace. */
-    size_t traceCapacity = 192;
 };
 
 /**
@@ -250,8 +221,6 @@ struct WorkerStats
      * subtract them from goodput as work served too late to matter.
      */
     uint64_t lateHandshakes = 0;
-    /** Connections refused at accept by the circuit breaker. */
-    uint64_t refusedSessions = 0;
     /** Cache entries scrubbed during session teardown. */
     uint64_t evictedSessions = 0;
     /** FaultyBio mutations injected across this worker's channels. */
@@ -283,7 +252,6 @@ struct ServeStats
     uint64_t failedHandshakes() const;
     uint64_t timedOutSessions() const;
     uint64_t lateHandshakes() const;
-    uint64_t refusedSessions() const;
     uint64_t evictedSessions() const;
     uint64_t faultsInjected() const;
     uint64_t dataPlaneFlushes() const;
@@ -291,9 +259,8 @@ struct ServeStats
 
     /**
      * Every session's terminal outcome, summed: completed (full or
-     * resumed) + alerted + timed out + refused at the accept gate.
-     * The chaos invariant is that this equals the configured workload
-     * — no session just vanishes.
+     * resumed) + alerted + timed out. The chaos invariant is that this
+     * equals the configured workload — no session just vanishes.
      */
     uint64_t terminatedSessions() const;
 

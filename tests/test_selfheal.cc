@@ -3,10 +3,10 @@
  * Self-healing overload-control tests: deadline-aware admission in the
  * CryptoPool (per-class shedding, queue-wait deadline budgets, the
  * Adaptive control loop), the Supervisor's reap-and-respawn contract
- * over dead or wedged crypto threads, the accept-gate CircuitBreaker,
- * the client-side CertificateVerify parking protocol, and the chaos
- * rows proving an overloaded or crypto-faulted engine run terminates
- * every session by shed/alert — never by silent hang.
+ * over dead or wedged crypto threads, the client-side
+ * CertificateVerify parking protocol, and the chaos rows proving an
+ * overloaded or crypto-faulted engine run terminates every session by
+ * shed/alert — never by silent hang.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include <thread>
 
 #include "obs/export.hh"
-#include "serve/breaker.hh"
 #include "serve/engine.hh"
 #include "serve/supervisor.hh"
 #include "ssl/client.hh"
@@ -561,78 +560,6 @@ TEST(CryptoPoolRace, ReplicaCacheStaysBoundedUnderKeyChurn)
 }
 
 // ---------------------------------------------------------------------
-// Circuit breaker
-
-TEST(Breaker, TripsOnFailureStreakAndRefusesWhileOpen)
-{
-    serve::BreakerConfig bcfg;
-    bcfg.tripThreshold = 3;
-    bcfg.openHoldCycles = UINT64_MAX / 2; // never leaves Open here
-    serve::CircuitBreaker br(bcfg);
-
-    EXPECT_EQ(br.state(), serve::BreakerState::Closed);
-    br.noteOverloadFailure();
-    br.noteOverloadFailure();
-    // A success in Closed resets the streak.
-    br.noteFullHandshakeSuccess();
-    br.noteOverloadFailure();
-    br.noteOverloadFailure();
-    EXPECT_EQ(br.state(), serve::BreakerState::Closed);
-    br.noteOverloadFailure();
-    EXPECT_EQ(br.state(), serve::BreakerState::Open);
-    EXPECT_EQ(br.trips(), 1u);
-
-    EXPECT_FALSE(br.admitFull());
-    EXPECT_FALSE(br.admitFull());
-    EXPECT_EQ(br.refusals(), 2u);
-}
-
-TEST(Breaker, HalfOpenProbesThenClosesOnSuccesses)
-{
-    serve::BreakerConfig bcfg;
-    bcfg.tripThreshold = 1;
-    bcfg.openHoldCycles = msCycles(1.0);
-    bcfg.halfOpenProbes = 2;
-    bcfg.closeThreshold = 2;
-    serve::CircuitBreaker br(bcfg);
-
-    br.noteOverloadFailure();
-    ASSERT_EQ(br.state(), serve::BreakerState::Open);
-
-    // Wait out the hold-off; the next admit converts Open -> HalfOpen
-    // and spends probe 1.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_TRUE(br.admitFull());
-    EXPECT_EQ(br.state(), serve::BreakerState::HalfOpen);
-    EXPECT_TRUE(br.admitFull());  // probe 2
-    EXPECT_FALSE(br.admitFull()); // probe budget spent
-
-    br.noteFullHandshakeSuccess();
-    EXPECT_EQ(br.state(), serve::BreakerState::HalfOpen);
-    br.noteFullHandshakeSuccess();
-    EXPECT_EQ(br.state(), serve::BreakerState::Closed);
-    EXPECT_TRUE(br.admitFull());
-}
-
-TEST(Breaker, HalfOpenFailureReopens)
-{
-    serve::BreakerConfig bcfg;
-    bcfg.tripThreshold = 1;
-    bcfg.openHoldCycles = msCycles(1.0);
-    serve::CircuitBreaker br(bcfg);
-
-    br.noteOverloadFailure();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ASSERT_TRUE(br.admitFull());
-    ASSERT_EQ(br.state(), serve::BreakerState::HalfOpen);
-
-    br.noteOverloadFailure();
-    EXPECT_EQ(br.state(), serve::BreakerState::Open);
-    EXPECT_EQ(br.trips(), 2u);
-    EXPECT_FALSE(br.admitFull()); // hold-off clock restarted
-}
-
-// ---------------------------------------------------------------------
 // Client-side CertificateVerify parking (async signing, client side)
 
 /**
@@ -872,37 +799,6 @@ selfhealEngineConfig()
     return cfg;
 }
 
-TEST(ServeEngineOverload, OpenBreakerRefusesFullAdmitsResumption)
-{
-    // Pre-trip the breaker with an effectively infinite hold: every
-    // full-handshake draw is refused at accept, resumption draws pass
-    // the gate, and each refusal still consumes its workload slot so
-    // the run terminates with full accounting.
-    serve::BreakerConfig bcfg;
-    bcfg.tripThreshold = 1;
-    bcfg.openHoldCycles = UINT64_MAX / 2;
-    serve::CircuitBreaker breaker(bcfg);
-    breaker.noteOverloadFailure();
-    ASSERT_EQ(breaker.state(), serve::BreakerState::Open);
-
-    serve::ServeConfig cfg = selfhealEngineConfig();
-    cfg.workers = 2;
-    cfg.connectionsPerWorker = 40;
-    cfg.concurrentPerWorker = 4;
-    cfg.resumeFraction = 0.5;
-    cfg.breaker = &breaker;
-    serve::ServeEngine engine(std::move(cfg));
-    serve::ServeStats stats = engine.run();
-
-    EXPECT_EQ(stats.terminatedSessions(), 80u);
-    EXPECT_GT(stats.refusedSessions(), 0u);
-    // Resumption draws are never gated. Early draws find no cached
-    // session and fall back to full handshakes (which the Open breaker
-    // ignores on completion), seeding later resumes.
-    EXPECT_GT(stats.resumedHandshakes() + stats.fullHandshakes(), 0u);
-    EXPECT_EQ(stats.refusedSessions(), breaker.refusals());
-}
-
 TEST(ServeEngineOverload, WorkersStampSupervisorHeartbeats)
 {
     serve::CryptoPool pool(1);
@@ -926,20 +822,46 @@ TEST(ServeEngineOverload, WorkersStampSupervisorHeartbeats)
     EXPECT_EQ(sup.externalStalls(), 0u);
 }
 
+TEST(ServeEngineOverload, ParkedSweepsDoNotAgeHandshakeDeadline)
+{
+    // One slow crypto thread keeps every session parked for thousands
+    // of sweeps on a clean channel, far past the virtual-tick deadline.
+    // Parked sweeps must not age that deadline: a job that completes
+    // between the worker's pump and its park poll unparks the session
+    // with no pump, and a deadline counted from the session's first
+    // sweep would kill it right there as "timed out".
+    serve::CryptoFaultPlan faults;
+    faults.slowdownRate = 1.0;
+    faults.slowdownCycles = msCycles(0.5);
+    faults.seed = selfhealSeed();
+    serve::CryptoPool pool(1, 0, serve::OverloadPolicy::Reject, {},
+                           faults);
+
+    const size_t sessions = 192;
+    serve::ServeConfig cfg = selfhealEngineConfig();
+    cfg.workers = 1;
+    cfg.connectionsPerWorker = sessions;
+    cfg.concurrentPerWorker = 8;
+    cfg.cryptoPool = &pool;
+    cfg.tolerateFailures = true;
+    cfg.handshakeDeadlineTicks = 16;
+    serve::ServeEngine engine(std::move(cfg));
+    serve::ServeStats stats = engine.run();
+
+    EXPECT_EQ(stats.terminatedSessions(), sessions);
+    EXPECT_EQ(stats.timedOutSessions(), 0u);
+    EXPECT_EQ(stats.failedHandshakes(), 0u);
+    EXPECT_EQ(stats.fullHandshakes(), sessions);
+    EXPECT_EQ(pool.completedJobs(), sessions);
+    EXPECT_GT(stats.parkEvents(), 0u);
+}
+
 TEST(ServeEngineOverload, ObservabilitySurfacesOverloadCounters)
 {
     // The overload-control plane must be visible through the metrics
-    // registry and the Prometheus text endpoint: breaker state/trips,
-    // crypto thread restarts and per-class shed counters.
+    // registry and the Prometheus text endpoint: crypto thread
+    // restarts and per-class shed counters.
     obs::MetricsRegistry reg;
-    serve::BreakerConfig bcfg;
-    bcfg.tripThreshold = 1;
-    bcfg.openHoldCycles = UINT64_MAX / 2;
-    serve::CircuitBreaker breaker(bcfg);
-    breaker.bindMetrics(&reg);
-    breaker.noteOverloadFailure();
-    (void)breaker.admitFull(); // one refusal
-
     serve::CryptoFaultPlan faults;
     faults.threadDeathRate = 1.0;
     faults.maxThreadDeaths = 1;
@@ -964,18 +886,11 @@ TEST(ServeEngineOverload, ObservabilitySurfacesOverloadCounters)
     }
 
     obs::MetricsSnapshot snap = reg.snapshot();
-    EXPECT_EQ(snap.gauges.at("serve.breaker_state"),
-              static_cast<int64_t>(serve::BreakerState::Open));
-    EXPECT_EQ(snap.counter("serve.breaker_trips"), 1u);
-    EXPECT_EQ(snap.counter("serve.breaker_refusals"), 1u);
     EXPECT_EQ(snap.counter("cryptopool.thread_restarts"), 1u);
     EXPECT_EQ(snap.counter("cryptopool.supervised_failures"), 1u);
     EXPECT_EQ(snap.counter("supervisor.restarts"), 1u);
 
     const std::string text = obs::prometheusText(snap);
-    EXPECT_NE(text.find("serve_breaker_state"), std::string::npos);
-    EXPECT_NE(text.find("serve_breaker_trips_total"),
-              std::string::npos);
     EXPECT_NE(text.find("cryptopool_thread_restarts_total"),
               std::string::npos);
     EXPECT_NE(text.find("cryptopool_shed_class_new_full_total"),
@@ -998,7 +913,9 @@ TEST(ChaosMatrix, CryptoSlowdownShedsBeforeEngineDeadline)
     faults.slowdownRate = 1.0;
     faults.slowdownCycles = msCycles(8.0);
     faults.seed = selfhealSeed();
-    serve::CryptoPool pool(1, 0, serve::OverloadPolicy::Reject, {},
+    serve::AdmissionControl adm;
+    adm.deadlineBudgetCycles = msCycles(2.0);
+    serve::CryptoPool pool(1, 0, serve::OverloadPolicy::Reject, adm,
                            faults);
 
     serve::ServeConfig cfg = selfhealEngineConfig();
@@ -1006,7 +923,6 @@ TEST(ChaosMatrix, CryptoSlowdownShedsBeforeEngineDeadline)
     cfg.connectionsPerWorker = 12;
     cfg.concurrentPerWorker = 6;
     cfg.cryptoPool = &pool;
-    cfg.cryptoDeadlineBudgetCycles = msCycles(2.0);
     cfg.tolerateFailures = true;
     cfg.handshakeDeadlineTicks = 1000000; // armed, must never fire
     serve::ServeEngine engine(std::move(cfg));
